@@ -48,8 +48,3 @@ let literal = 0.5
 
 (** Branch evaluation overhead of an [if]/[while]/[for] iteration. *)
 let branch = 2.
-
-let builtin name =
-  match Builtins.find name with
-  | Some b -> b.Builtins.cycles
-  | None -> invalid_arg ("Costmodel.builtin: " ^ name)

@@ -14,6 +14,3 @@ val store_scalar : float
 val store_array : float
 val literal : float
 val branch : float
-
-(** Cycle cost of a builtin by name (raises on unknown names). *)
-val builtin : string -> float

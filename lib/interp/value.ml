@@ -1,8 +1,6 @@
 (** Runtime values of the Mini-C interpreter.  Arrays are stored flattened
     with their dimension vector for index computation. *)
 
-open Minic
-
 type t =
   | VInt of int
   | VFloat of float
@@ -13,26 +11,10 @@ exception Runtime_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-let zero_of_ty = function
-  | Ast.TScalar Ast.SInt -> VInt 0
-  | Ast.TScalar Ast.SFloat -> VFloat 0.
-  | Ast.TArray (Ast.SInt, dims) ->
-      VArrI { data = Array.make (List.fold_left ( * ) 1 dims) 0; dims }
-  | Ast.TArray (Ast.SFloat, dims) ->
-      VArrF { data = Array.make (List.fold_left ( * ) 1 dims) 0.; dims }
-  | Ast.TVoid -> error "cannot create a void value"
-
 let to_int = function
   | VInt n -> n
   | VFloat f -> int_of_float f
   | VArrI _ | VArrF _ -> error "array used as a scalar"
-
-let to_float = function
-  | VInt n -> float_of_int n
-  | VFloat f -> f
-  | VArrI _ | VArrF _ -> error "array used as a scalar"
-
-let is_float = function VFloat _ -> true | _ -> false
 
 (** Flattened offset for [idxs] in an array of shape [dims]; bounds are
     checked per dimension. *)

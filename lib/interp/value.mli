@@ -1,8 +1,6 @@
 (** Runtime values of the Mini-C interpreter.  Arrays are stored flattened
     with their dimension vector. *)
 
-open Minic
-
 type t =
   | VInt of int
   | VFloat of float
@@ -14,10 +12,7 @@ exception Runtime_error of string
 (** Raise {!Runtime_error} with a formatted message. *)
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-val zero_of_ty : Ast.ty -> t
 val to_int : t -> int
-val to_float : t -> float
-val is_float : t -> bool
 
 (** Flattened offset with per-dimension bounds checks. *)
 val flat_index : dims:int list -> idxs:int list -> int

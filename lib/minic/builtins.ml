@@ -4,53 +4,40 @@
     is part of the high-level timing model, mirroring how the paper's
     framework assigns per-statement costs from target simulation. *)
 
+(** A builtin's implementation, by argument count and type: float
+    builtins convert their arguments to float, int builtins to int. *)
+type impl =
+  | F1 of (float -> float)
+  | F2 of (float -> float -> float)
+  | I1 of (int -> int)
+  | I2 of (int -> int -> int)
+
 type t = {
   name : string;
-  arity : int;
-  ret : Ast.scalar;  (** result type; arguments are converted as needed *)
-  float_args : bool;  (** arguments are evaluated as floats *)
+  impl : impl;
   cycles : float;  (** abstract cycle cost at CPI 1 *)
 }
 
 let all =
   [
-    { name = "sqrt"; arity = 1; ret = Ast.SFloat; float_args = true; cycles = 18. };
-    { name = "fabs"; arity = 1; ret = Ast.SFloat; float_args = true; cycles = 2. };
-    { name = "sin"; arity = 1; ret = Ast.SFloat; float_args = true; cycles = 28. };
-    { name = "cos"; arity = 1; ret = Ast.SFloat; float_args = true; cycles = 28. };
-    { name = "exp"; arity = 1; ret = Ast.SFloat; float_args = true; cycles = 30. };
-    { name = "log"; arity = 1; ret = Ast.SFloat; float_args = true; cycles = 30. };
-    { name = "pow"; arity = 2; ret = Ast.SFloat; float_args = true; cycles = 45. };
-    { name = "floor"; arity = 1; ret = Ast.SFloat; float_args = true; cycles = 3. };
-    { name = "abs"; arity = 1; ret = Ast.SInt; float_args = false; cycles = 2. };
-    { name = "imin"; arity = 2; ret = Ast.SInt; float_args = false; cycles = 2. };
-    { name = "imax"; arity = 2; ret = Ast.SInt; float_args = false; cycles = 2. };
-    { name = "fmin"; arity = 2; ret = Ast.SFloat; float_args = true; cycles = 2. };
-    { name = "fmax"; arity = 2; ret = Ast.SFloat; float_args = true; cycles = 2. };
+    { name = "sqrt"; impl = F1 sqrt; cycles = 18. };
+    { name = "fabs"; impl = F1 Float.abs; cycles = 2. };
+    { name = "sin"; impl = F1 sin; cycles = 28. };
+    { name = "cos"; impl = F1 cos; cycles = 28. };
+    { name = "exp"; impl = F1 exp; cycles = 30. };
+    { name = "log"; impl = F1 log; cycles = 30. };
+    { name = "pow"; impl = F2 Float.pow; cycles = 45. };
+    { name = "floor"; impl = F1 Float.floor; cycles = 3. };
+    { name = "abs"; impl = I1 Stdlib.abs; cycles = 2. };
+    { name = "imin"; impl = I2 Stdlib.min; cycles = 2. };
+    { name = "imax"; impl = I2 Stdlib.max; cycles = 2. };
+    { name = "fmin"; impl = F2 Float.min; cycles = 2. };
+    { name = "fmax"; impl = F2 Float.max; cycles = 2. };
   ]
 
 let find name = List.find_opt (fun b -> String.equal b.name name) all
 let is_builtin name = Option.is_some (find name)
+let arity b = match b.impl with F1 _ | I1 _ -> 1 | F2 _ | I2 _ -> 2
 
-(** Evaluate a builtin on float arguments (integers are converted by the
-    interpreter beforehand when [float_args] is set). *)
-let eval_float name (args : float list) : float =
-  match (name, args) with
-  | "sqrt", [ x ] -> sqrt x
-  | "fabs", [ x ] -> Float.abs x
-  | "sin", [ x ] -> sin x
-  | "cos", [ x ] -> cos x
-  | "exp", [ x ] -> exp x
-  | "log", [ x ] -> log x
-  | "pow", [ x; y ] -> Float.pow x y
-  | "floor", [ x ] -> Float.floor x
-  | "fmin", [ x; y ] -> Float.min x y
-  | "fmax", [ x; y ] -> Float.max x y
-  | _ -> invalid_arg ("Builtins.eval_float: " ^ name)
-
-let eval_int name (args : int list) : int =
-  match (name, args) with
-  | "abs", [ x ] -> Stdlib.abs x
-  | "imin", [ x; y ] -> Stdlib.min x y
-  | "imax", [ x; y ] -> Stdlib.max x y
-  | _ -> invalid_arg ("Builtins.eval_int: " ^ name)
+(** Result type; arguments are converted to the same type. *)
+let ret b = match b.impl with F1 _ | F2 _ -> Ast.SFloat | I1 _ | I2 _ -> Ast.SInt

@@ -28,21 +28,8 @@ let err loc fmt = Format.kasprintf (fun s -> raise (Error (s, loc))) fmt
 let rename_of tbl name =
   match Hashtbl.find_opt tbl name with Some n -> n | None -> name
 
-let rec rename_expr tbl (e : Ast.expr) : Ast.expr =
-  match e with
-  | Ast.IntLit _ | Ast.FloatLit _ -> e
-  | Ast.Var n -> Ast.Var (rename_of tbl n)
-  | Ast.ArrRef (n, idxs) ->
-      Ast.ArrRef (rename_of tbl n, List.map (rename_expr tbl) idxs)
-  | Ast.Unop (op, e1) -> Ast.Unop (op, rename_expr tbl e1)
-  | Ast.Binop (op, e1, e2) ->
-      Ast.Binop (op, rename_expr tbl e1, rename_expr tbl e2)
-  | Ast.Call (f, args) -> Ast.Call (f, List.map (rename_expr tbl) args)
-
-let rename_lhs tbl = function
-  | Ast.LVar n -> Ast.LVar (rename_of tbl n)
-  | Ast.LArr (n, idxs) ->
-      Ast.LArr (rename_of tbl n, List.map (rename_expr tbl) idxs)
+let rename_expr tbl = Rename.map_expr (rename_of tbl)
+let rename_lhs tbl = Rename.map_lhs (rename_of tbl)
 
 let rec rename_stmt tbl (s : Ast.stmt) : Ast.stmt =
   let sdesc =
@@ -289,7 +276,8 @@ and inline_stmt funcs (s : Ast.stmt) : Ast.stmt =
   | Ast.Return None | Ast.Decl { dinit = None; _ } -> s
 
 (** Inline every user-defined call transitively, returning a program whose
-    only function is [main] with a call-free body.  Statement ids are
+    only function is [main] with a call-free body.  Shadowing declarations
+    get fresh names ({!Rename.unshadow}) and statement ids are
     renumbered. *)
 let program (prog : Ast.program) : Ast.program =
   let order = topo_order prog in
@@ -304,4 +292,4 @@ let program (prog : Ast.program) : Ast.program =
     | Some m -> m
     | None -> err Loc.dummy "program has no main function"
   in
-  Rename.renumber { prog with funcs = [ main ] }
+  Rename.renumber (Rename.unshadow { prog with funcs = [ main ] })

@@ -18,5 +18,6 @@ val called_functions : Ast.func -> string list
 val topo_order : Ast.program -> Ast.func list
 
 (** Inline every user-defined call transitively; the result's only
-    function is [main], with renumbered statement ids. *)
+    function is [main], with shadowing declarations renamed
+    ({!Rename.unshadow}) and renumbered statement ids. *)
 val program : Ast.program -> Ast.program

@@ -71,10 +71,10 @@ let rec check_expr env loc (e : Ast.expr) : Ast.scalar =
 and check_call env loc name args : Ast.ty =
   match Builtins.find name with
   | Some b ->
-      if List.length args <> b.arity then
-        err loc "builtin %s expects %d arguments" name b.arity;
+      if List.length args <> Builtins.arity b then
+        err loc "builtin %s expects %d arguments" name (Builtins.arity b);
       List.iter (fun a -> ignore (check_expr env loc a)) args;
-      Ast.TScalar b.ret
+      Ast.TScalar (Builtins.ret b)
   | None -> (
       match Hashtbl.find_opt env.funcs name with
       | None -> err loc "call to undefined function %s" name

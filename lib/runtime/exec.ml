@@ -10,6 +10,7 @@ type ctx = {
   pool : Pool.t;
   metrics : Metrics.t;
   max_steps : int;
+  code : Eval.code;  (** the HTG's statements, compiled once per run *)
   slots : int;  (** profile slots for scratch environments *)
   watch : Watchdog.t option;
 }
@@ -19,7 +20,6 @@ exception Expired_receive of string
     verdict); carries the receive's label.  Internal — mapped to a typed
     error at the top level. *)
 
-let truthy v = Value.to_int v <> 0
 let beat ctx = match ctx.watch with Some w -> Watchdog.beat w | None -> ()
 
 let scratch_env ctx store =
@@ -139,7 +139,7 @@ let rec exec_node ctx env (node : Node.t) (sol : Solution.t) : unit =
   if sol.Solution.node_id <> node.Node.id then fallback ctx env node
   else
     match sol.Solution.kind with
-    | Solution.Seq _ -> Eval.exec_block_env env node.Node.stmts
+    | Solution.Seq _ -> Eval.exec_stmts env node.Node.stmts
     | Solution.Split sp -> exec_split ctx env node sp
     | Solution.Par p -> (
         let child_sol j =
@@ -162,20 +162,20 @@ let rec exec_node ctx env (node : Node.t) (sol : Solution.t) : unit =
 
 and fallback ctx env (node : Node.t) =
   Metrics.incr ctx.metrics.Metrics.seq_fallbacks;
-  Eval.exec_block_env env node.Node.stmts
+  Eval.exec_stmts env node.Node.stmts
 
 and exec_child ctx env (child : Node.t) = function
   | Some sol -> exec_node ctx env child sol
-  | None -> Eval.exec_block_env env child.Node.stmts
+  | None -> Eval.exec_stmts env child.Node.stmts
 
 (* A Branch node's children are [cond; present arms]; the cond child
    covers the whole [if] statement, so it is never executed as a node —
    the condition is evaluated inline and only the taken arm runs. *)
 and exec_branch ctx env (node : Node.t) child_sol =
   match node.Node.stmts with
-  | [ { Ast.sdesc = Ast.If (cond, b1, b2); _ } ] -> (
+  | [ ({ Ast.sdesc = Ast.If (_, b1, b2); _ } as s) ] -> (
       Eval.tick_env env;
-      let taken = truthy (Eval.eval_expr env cond) in
+      let taken = Eval.test env s in
       let b1p = region_present b1 and b2p = region_present b2 in
       let arm =
         if taken then if b1p then Some 1 else None
@@ -195,27 +195,23 @@ and loop_fork ctx env (node : Node.t) part child_sol =
   let cov = cover_of node in
   let fork_body () = fork ctx env node cov part child_sol in
   match node.Node.stmts with
-  | [ { Ast.sdesc = Ast.For { finit; fcond; fstep; _ }; _ } ] ->
+  | [ ({ Ast.sdesc = Ast.For _; _ } as s) ] ->
       Eval.tick_env env;
-      (match finit with
-      | Some (lhs, e) -> Eval.exec_assign env lhs (Eval.eval_expr env e)
-      | None -> ());
+      Eval.for_init env s;
       let rec loop () =
         Eval.tick_env env;
-        if truthy (Eval.eval_expr env fcond) then begin
+        if Eval.test env s then begin
           fork_body ();
-          (match fstep with
-          | Some (lhs, e) -> Eval.exec_assign env lhs (Eval.eval_expr env e)
-          | None -> ());
+          Eval.for_step env s;
           loop ()
         end
       in
       loop ()
-  | [ { Ast.sdesc = Ast.While (cond, _); _ } ] ->
+  | [ ({ Ast.sdesc = Ast.While _; _ } as s) ] ->
       Eval.tick_env env;
       let rec loop () =
         Eval.tick_env env;
-        if truthy (Eval.eval_expr env cond) then begin
+        if Eval.test env s then begin
           fork_body ();
           loop ()
         end
@@ -259,17 +255,13 @@ and fork ctx env (node : Node.t) (cov : cover) (part : Solution.partition) child
       List.rev !acc
     in
     let run_task t =
-      let store : Eval.store = Hashtbl.create 32 in
+      let store = Eval.new_store ctx.code in
       let tenv = scratch_env ctx store in
       let err = ref None in
       let publish j =
         List.iter
           (fun (v, cell) ->
-            let payload =
-              match Hashtbl.find_opt store v with
-              | Some r -> Some (Value.copy !r)
-              | None -> None
-            in
+            let payload = Option.map Value.copy (Eval.find store v) in
             (match payload with
             | Some p -> Metrics.add ctx.metrics.Metrics.bytes_sent (Value.size_bytes p)
             | None -> ());
@@ -282,10 +274,10 @@ and fork ctx env (node : Node.t) (cov : cover) (part : Solution.partition) child
           (fun (v, src) ->
             match src with
             | Parent ->
-                if not (Hashtbl.mem store v) then (
-                  match Hashtbl.find_opt parent_store v with
-                  | Some r -> Hashtbl.replace store v (ref (Value.copy !r))
-                  | None -> ())
+                if not (Eval.mem store v) then
+                  Option.iter
+                    (fun x -> Eval.set store v (Value.copy x))
+                    (Eval.find parent_store v)
             | Child i when owner.(i) = t -> ()
             | Child i -> (
                 match Hashtbl.find_opt cells (i, v) with
@@ -294,7 +286,7 @@ and fork ctx env (node : Node.t) (cov : cover) (part : Solution.partition) child
                     Metrics.incr ctx.metrics.Metrics.recvs;
                     let label = Printf.sprintf "task%d:%s<-child%d" t v i in
                     match Channel.recv ?watch:ctx.watch ~label ctx.pool cell with
-                    | Ok (Some value) -> Hashtbl.replace store v (ref (Value.copy value))
+                    | Ok (Some value) -> Eval.set store v (Value.copy value)
                     | Ok None -> () (* producer failed or never bound it *)
                     | Error `Expired -> raise (Expired_receive label))))
           cov.imports.(j)
@@ -336,7 +328,7 @@ and fork ctx env (node : Node.t) (cov : cover) (part : Solution.partition) child
              (fun f ->
                match Pool.await ctx.pool f with
                | Ok r -> r
-               | Error e -> (Some (max_int, e), (Hashtbl.create 1 : Eval.store), 0))
+               | Error e -> (Some (max_int, e), Eval.new_store ctx.code, 0))
              futs)
     in
     Array.iter (fun (_, _, steps) -> Metrics.add ctx.metrics.Metrics.steps steps) results;
@@ -357,14 +349,11 @@ and fork ctx env (node : Node.t) (cov : cover) (part : Solution.partition) child
         List.iter
           (fun (v, i) ->
             let _, st, _ = results.(owner.(i)) in
-            match Hashtbl.find_opt st v with
-            | None -> ()
-            | Some r -> (
+            Option.iter
+              (fun x ->
                 Metrics.incr ctx.metrics.Metrics.merges;
-                let value = Value.copy !r in
-                match Hashtbl.find_opt parent_store v with
-                | Some pr -> pr := value
-                | None -> Hashtbl.replace parent_store v (ref value)))
+                Eval.set parent_store v (Value.copy x))
+              (Eval.find st v))
           cov.merges
   end
 
@@ -386,28 +375,23 @@ and exec_split ctx env (node : Node.t) (sp : Solution.split) =
       | Some _ -> run_split ctx env s f sp)
   | _ -> fallback ctx env node
 
-and count_iters ctx parent_store (f : Ast.for_loop) =
-  (* control-only replay on a store with privatized scalars (arrays are
-     read-only for canonical control, share the payloads) *)
-  let store : Eval.store = Hashtbl.create (Hashtbl.length parent_store) in
-  Hashtbl.iter
-    (fun k r ->
-      match !r with
-      | (Value.VInt _ | Value.VFloat _) as sv -> Hashtbl.replace store k (ref sv)
-      | arr -> Hashtbl.replace store k (ref arr))
-    parent_store;
-  let cenv = scratch_env ctx store in
-  (match f.Ast.finit with
-  | Some (lhs, e) -> Eval.exec_assign cenv lhs (Eval.eval_expr cenv e)
-  | None -> ());
+(* A chunk's store: scalars privatized, array payloads shared with the
+   parent (DOALL writes are disjoint; canonical control only reads). *)
+and private_store ctx parent_store =
+  let store = Eval.new_store ctx.code in
+  Eval.iter (Eval.set store) parent_store;
+  store
+
+and count_iters ctx parent_store (s : Ast.stmt) =
+  (* control-only replay *)
+  let cenv = scratch_env ctx (private_store ctx parent_store) in
+  Eval.for_init cenv s;
   let n = ref 0 in
   let rec go () =
-    if truthy (Eval.eval_expr cenv f.Ast.fcond) then begin
+    if Eval.test cenv s then begin
       Eval.tick_env cenv;
       incr n;
-      (match f.Ast.fstep with
-      | Some (lhs, e) -> Eval.exec_assign cenv lhs (Eval.eval_expr cenv e)
-      | None -> ());
+      Eval.for_step cenv s;
       go ()
     end
   in
@@ -417,8 +401,8 @@ and count_iters ctx parent_store (f : Ast.for_loop) =
 and run_split ctx env (s : Ast.stmt) (f : Ast.for_loop) (sp : Solution.split) =
   let parent_store = Eval.env_store env in
   Eval.tick_env env;
-  let n = count_iters ctx parent_store f in
-  if n = 0 then Eval.exec_block_env env [ s ] (* header effects only *)
+  let n = count_iters ctx parent_store s in
+  if n = 0 then Eval.exec_stmts env [ s ] (* header effects only *)
   else begin
     Metrics.incr ctx.metrics.Metrics.splits;
     (* task 0 always participates (it hosts the join), plus every task the
@@ -442,27 +426,17 @@ and run_split ctx env (s : Ast.stmt) (f : Ast.for_loop) (sp : Solution.split) =
     Metrics.incr ctx.metrics.Metrics.forks;
     Metrics.add ctx.metrics.Metrics.tasks_spawned (m - 1);
     let run_chunk t =
-      let store : Eval.store = Hashtbl.create (Hashtbl.length parent_store) in
-      Hashtbl.iter
-        (fun k r ->
-          match !r with
-          | (Value.VInt _ | Value.VFloat _) as sv -> Hashtbl.replace store k (ref sv)
-          | arr -> Hashtbl.replace store k (ref arr) (* share the payload *))
-        parent_store;
+      let store = private_store ctx parent_store in
       let cenv = scratch_env ctx store in
       let err = ref None in
       (try
-         (match f.Ast.finit with
-         | Some (lhs, e) -> Eval.exec_assign cenv lhs (Eval.eval_expr cenv e)
-         | None -> ());
+         Eval.for_init cenv s;
          let i = ref 0 in
          let rec go () =
-           if truthy (Eval.eval_expr cenv f.Ast.fcond) then begin
-             if !i >= lo.(t) && !i < hi.(t) then Eval.exec_block_env cenv f.Ast.fbody;
+           if Eval.test cenv s then begin
+             if !i >= lo.(t) && !i < hi.(t) then Eval.exec_stmts cenv f.Ast.fbody;
              incr i;
-             (match f.Ast.fstep with
-             | Some (lhs, e) -> Eval.exec_assign cenv lhs (Eval.eval_expr cenv e)
-             | None -> ());
+             Eval.for_step cenv s;
              go ()
            end
          in
@@ -485,7 +459,7 @@ and run_split ctx env (s : Ast.stmt) (f : Ast.for_loop) (sp : Solution.split) =
              (fun fu ->
                match Pool.await ctx.pool fu with
                | Ok r -> r
-               | Error e -> (Some e, (Hashtbl.create 1 : Eval.store), 0))
+               | Error e -> (Some e, Eval.new_store ctx.code, 0))
              futs)
     in
     Array.iter (fun (_, _, steps) -> Metrics.add ctx.metrics.Metrics.steps steps) results;
@@ -504,16 +478,11 @@ and run_split ctx env (s : Ast.stmt) (f : Ast.for_loop) (sp : Solution.split) =
     let merge_set = SS.diff (Defuse.stmt_all s).Defuse.defs (Defuse.stmt_locals s) in
     SS.iter
       (fun v ->
-        match Hashtbl.find_opt lstore v with
-        | None -> ()
-        | Some r -> (
-            match !r with
-            | (Value.VInt _ | Value.VFloat _) as sv -> (
-                Metrics.incr ctx.metrics.Metrics.merges;
-                match Hashtbl.find_opt parent_store v with
-                | Some pr -> pr := sv
-                | None -> Hashtbl.replace parent_store v (ref sv))
-            | _ -> ()))
+        match Eval.find lstore v with
+        | Some ((Value.VInt _ | Value.VFloat _) as sv) ->
+            Metrics.incr ctx.metrics.Metrics.merges;
+            Eval.set parent_store v sv
+        | _ -> ())
       merge_set
   end
 
@@ -534,17 +503,22 @@ let run_watched ?domains ?(max_steps = Eval.default_max_steps) ?(timeout_s = 0.)
   in
   let pool = Pool.create ?domains () in
   let metrics = Metrics.create () in
-  let ctx = { pool; metrics; max_steps; slots = Eval.profile_slots prog; watch } in
   let t0 = Unix.gettimeofday () in
   let outcome =
     try
       Ok
         (Pool.run pool (fun () ->
-             let store : Eval.store = Hashtbl.create 64 in
-             let env = scratch_env ctx store in
+             (* compile the statements the HTG holds: [prog] may be a
+                separate compile of the same source, whose inlined locals
+                carry other names *)
+             let code = Eval.compile ~globals:prog.Ast.globals root.Node.stmts in
+             let ctx =
+               { pool; metrics; max_steps; code; slots = Eval.profile_slots prog; watch }
+             in
+             let env = scratch_env ctx (Eval.new_store code) in
              let ret =
                try
-                 Eval.init_globals env prog;
+                 Eval.init_globals env;
                  exec_node ctx env root sol;
                  None
                with Eval.Return_exn v -> v

@@ -22,7 +22,12 @@
 
     Any shape the runtime cannot honor safely is demoted to sequential
     interpretation of the node's statements (counted in the metrics), so
-    execution is always faithful to sequential semantics. *)
+    execution is always faithful to sequential semantics.
+
+    Every task runs the interpreter's compiled code
+    ({!Interp.Eval.compile}, once per run, over the AHTG's statements)
+    against its own slot store, so the runtime and the sequential
+    interpreter share one evaluator. *)
 
 type result = {
   ret : Interp.Value.t option;  (** value returned by [main] *)

@@ -119,6 +119,52 @@ let test_latnrm_lattice_sequential () =
   go root;
   Alcotest.(check bool) "large sequential loop exists" true (!seq_loops >= 1)
 
+(* Profiles pinned bit for bit.  The checksums above pin only return
+   values, so a change in cost attribution or float association would pass
+   them silently; these goldens pin each kernel's step count and an MD5
+   over its per-statement counts, the IEEE bits of its per-statement work
+   and of total_work. *)
+let profile_md5 (p : Interp.Profile.t) =
+  let b = Buffer.create 4096 in
+  Array.iter (fun c -> Buffer.add_int64_le b (Int64.of_int c)) p.Interp.Profile.counts;
+  Array.iter
+    (fun w -> Buffer.add_int64_le b (Int64.bits_of_float w))
+    p.Interp.Profile.work;
+  Buffer.add_int64_le b (Int64.bits_of_float p.Interp.Profile.total_work);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_profiles = Test_benchsuite_golden.profiles
+
+let test_profile_goldens () =
+  let actual =
+    List.map
+      (fun (b : Benchsuite.Suite.t) ->
+        let r = run_bench b in
+        (b.Benchsuite.Suite.name, r.Interp.Eval.steps, profile_md5 r.Interp.Eval.profile))
+      Benchsuite.Suite.all
+  in
+  Alcotest.(check (list (triple string int string)))
+    "steps and profile MD5 per kernel" golden_profiles actual
+
+(* One fingerprint over the first 50 programs of the property tests'
+   generator from a fixed seed: return value, steps and profile of each. *)
+let test_generated_fingerprint () =
+  let rand = Random.State.make [| 2013 |] in
+  let b = Buffer.create 4096 in
+  for _ = 1 to 50 do
+    let r = Interp.Eval.run (Minic.Frontend.compile (Test_pipeline_prop.gen_program rand)) in
+    let ret =
+      match r.Interp.Eval.ret with
+      | Some (Interp.Value.VInt n) -> "i" ^ string_of_int n
+      | Some (Interp.Value.VFloat f) -> "f" ^ Int64.to_string (Int64.bits_of_float f)
+      | Some _ | None -> "-"
+    in
+    Printf.bprintf b "%s %d %s\n" ret r.Interp.Eval.steps (profile_md5 r.Interp.Eval.profile)
+  done;
+  Alcotest.(check string) "fingerprint of 50 generated programs"
+    Test_benchsuite_golden.generated_fingerprint
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     Alcotest.test_case "all compile" `Quick test_all_compile;
@@ -126,6 +172,9 @@ let suite =
     Alcotest.test_case "find" `Quick test_find;
     Alcotest.test_case "golden checksums" `Quick test_checksums;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "profile goldens" `Quick test_profile_goldens;
+    Alcotest.test_case "generated-program fingerprint" `Quick
+      test_generated_fingerprint;
     Alcotest.test_case "doall structure" `Quick test_doall_structure;
     Alcotest.test_case "work magnitude" `Quick test_work_magnitude;
     Alcotest.test_case "adpcm channel loop doall" `Quick

@@ -246,6 +246,134 @@ let test_profile_if_counts_both_arms () =
   in
   Alcotest.(check int) "arms balanced" 55 (ret_int src)
 
+(* ------------------------------------------------------------------ *)
+(* C semantics the flat store and dynamic typing used to get wrong      *)
+(* ------------------------------------------------------------------ *)
+
+(* sid of the first statement satisfying [p] in main *)
+let find_sid prog p =
+  match
+    Ast.fold_stmts
+      (fun acc (s : Ast.stmt) -> match acc with None when p s.Ast.sdesc -> Some s.Ast.sid | _ -> acc)
+      None (List.hd prog.Ast.funcs).Ast.fbody
+  with
+  | Some sid -> sid
+  | None -> Alcotest.fail "statement not found"
+
+let test_global_init_converts () =
+  let prog = Frontend.compile "int g = 2.5;\nint main() { int r; r = g * 3; return r; }" in
+  let r = Eval.run prog in
+  Alcotest.(check int) "int global truncates its initializer" 6
+    (Value.to_int (Option.get r.Eval.ret));
+  let sid = find_sid prog (function Ast.Assign (Ast.LVar "r", _) -> true | _ -> false) in
+  (* var read 1 + literal 0.5 + int multiply 3 + scalar store 1 *)
+  Alcotest.(check (float 0.)) "g * 3 is an int multiply" 5.5 (Profile.work r.Eval.profile sid)
+
+let test_inner_decl_keeps_outer () =
+  Alcotest.(check int) "inner i leaves the outer i" 5
+    (ret_int "int main() { int i; i = 5; { int i; i = 0; } return i; }");
+  Alcotest.(check int) "inner float x leaves the outer int x" 7
+    (ret_int
+       "int main() { int x; float r; x = 7; { float x; x = 0.5; r = x; } return x; }");
+  Alcotest.(check int) "a local shadows a global" 3
+    (ret_int "int g = 3;\nint main() { int s; { int g; g = 10; s = g; } return g; }");
+  Alcotest.(check int) "sibling scopes of two types" 12
+    (ret_int
+       "int main() { int r; r = 0; { int m; m = 4; r = r + m; } { float m; m = 8.5; r = \
+        r + m; } return r; }")
+
+let test_float_conditions () =
+  Alcotest.(check int) "if (0.5) takes the then arm" 1
+    (ret_int
+       "int main() { float h; int r; h = 0.5; if (h) { r = 1; } else { r = 2; } return r; }");
+  Alcotest.(check int) "while (h) runs until h is 0" 4
+    (ret_int
+       "int main() { float h; int n; h = 1.0; n = 0; while (h) { h = h - 0.25; n = n + 1; \
+        } return n; }");
+  Alcotest.(check int) "for with a float condition" 2
+    (ret_int
+       "int main() { float h; int n; n = 0; for (h = 0.5; h; h = h - 0.25) { n = n + 1; } \
+        return n; }");
+  Alcotest.(check int) "!0.5" 0 (ret_int "int main() { return !0.5; }");
+  Alcotest.(check int) "!0.0" 1 (ret_int "int main() { return !0.0; }");
+  Alcotest.(check int) "0.5 && 1.0" 1
+    (ret_int "int main() { float h; h = 0.5; return h && 1.0; }");
+  Alcotest.(check int) "0.0 || 0.5" 1
+    (ret_int "int main() { float h; h = 0.5; return 0.0 || h; }");
+  Alcotest.(check int) "0.5 && 0" 0 (ret_int "int main() { return 0.5 && 0; }");
+  let prog = Frontend.compile "int main() { float h; h = 0.5; return h && 1.0; }" in
+  let r = Eval.run prog in
+  let sid = find_sid prog (function Ast.Return _ -> true | _ -> false) in
+  (* var read 1 + literal 0.5 + float && 2 *)
+  Alcotest.(check (float 0.)) "float && costs 2 cycles" 3.5 (Profile.work r.Eval.profile sid)
+
+let test_array_nd () =
+  let src =
+    {|int m[2][3][4];
+int main() {
+  int i; int j; int k;
+  for (i = 0; i < 2; i = i + 1) {
+    for (j = 0; j < 3; j = j + 1) {
+      for (k = 0; k < 4; k = k + 1) { m[i][j][k] = i * 100 + j * 10 + k; }
+    }
+  }
+  return m[1][2][3] + m[0][1][2];
+}|}
+  in
+  Alcotest.(check int) "row-major 3d" (123 + 12) (ret_int src);
+  Alcotest.(check int) "4d" 7
+    (ret_int
+       "int q[2][3][2][2];\nint main() { q[1][2][0][1] = 7; q[1][1][1][1] = 9; return \
+        q[1][2][0][1]; }");
+  match run "int m[2][3][4];\nint main() { int i; i = 3; return m[1][i][0]; }" with
+  | exception Eval.Runtime_error m ->
+      Alcotest.(check string) "middle index checked"
+        "array index 3 out of bounds for dimension of size 3" m
+  | _ -> Alcotest.fail "expected bounds error"
+
+(* The slot store behind the runtime: an absent slot is an unbound
+   variable, and the name-keyed API reads and writes the same slots the
+   compiled code does. *)
+let test_slot_store () =
+  let prog = Frontend.compile "int main() { int x; int y; y = x + 1; return y; }" in
+  let main = List.hd prog.Ast.funcs in
+  let code = Eval.compile ~globals:prog.Ast.globals main.Ast.fbody in
+  let stmt = List.nth main.Ast.fbody 2 in
+  let env_of store =
+    Eval.make_env ~profile:(Profile.create (Eval.profile_slots prog)) store
+  in
+  (match Eval.exec_stmts (env_of (Eval.new_store code)) [ stmt ] with
+  | exception Eval.Runtime_error m ->
+      Alcotest.(check string) "absent slot" "unbound variable x" m
+  | () -> Alcotest.fail "expected an unbound variable");
+  let store = Eval.new_store code in
+  Eval.set store "x" (Value.VInt 41);
+  Alcotest.(check bool) "y absent" false (Eval.mem store "y");
+  (match Eval.exec_stmts (env_of store) [ stmt ] with
+  | exception Eval.Runtime_error m ->
+      Alcotest.(check string) "absent target" "unbound variable y" m
+  | () -> Alcotest.fail "expected an unbound variable");
+  Eval.set store "y" (Value.VInt 0);
+  Eval.exec_stmts (env_of store) [ stmt ];
+  Alcotest.(check bool) "y = 42" true (Eval.find store "y" = Some (Value.VInt 42));
+  let seen = ref [] in
+  Eval.iter (fun n _ -> seen := n :: !seen) store;
+  Alcotest.(check (list string)) "bound names" [ "x"; "y" ] (List.rev !seen);
+  match Eval.set store "x" (Value.VFloat 1.) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a float must not land in an int slot"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "global initializer converts" `Quick test_global_init_converts;
+      Alcotest.test_case "inner declaration keeps outer" `Quick
+        test_inner_decl_keeps_outer;
+      Alcotest.test_case "float conditions" `Quick test_float_conditions;
+      Alcotest.test_case "3d and 4d arrays" `Quick test_array_nd;
+      Alcotest.test_case "slot store" `Quick test_slot_store;
+    ]
+
 let suite =
   suite
   @ [

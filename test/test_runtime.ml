@@ -189,6 +189,34 @@ let test_metrics_reported () =
       (* something actually ran in parallel *)
       Alcotest.(check bool) "tasks spawned" true (m.Runtime.Metrics.n_tasks_spawned > 0)
 
+(* An inner declaration must not clobber the outer variable of the same
+   name, in the runtime's task stores as in the interpreter. *)
+let test_validate_shadowing () =
+  let prog =
+    Minic.Frontend.compile
+      {|float a[64]; float b[64];
+int main() {
+  int i; int k; int r;
+  k = 5;
+  for (i = 0; i < 64; i = i + 1) { a[i] = i * 0.5; }
+  for (i = 0; i < 64; i = i + 1) { int k; k = i * 2; b[i] = k + 1.0; }
+  { int k; k = 0; r = a[3] + b[7]; }
+  r = k * 1000 + r;
+  return r;
+}|}
+  in
+  let out =
+    Parcore.Parallelize.run_program ~cfg ~approach:Parcore.Parallelize.Heterogeneous
+      ~platform:Platform.Presets.platform_a_accel prog
+  in
+  let par, seq, ok =
+    Runtime.Exec.validate ~domains:2 prog out.Parcore.Parallelize.htg
+      out.Parcore.Parallelize.algo.Parcore.Algorithm.root
+  in
+  Alcotest.(check bool) "runtime agrees with the interpreter" true ok;
+  Alcotest.(check bool) "sequential result" true (seq.Interp.Eval.ret = Some (Interp.Value.VInt 5016));
+  Alcotest.(check bool) "parallel result" true (par.Runtime.Exec.ret = Some (Interp.Value.VInt 5016))
+
 let suite =
   [
     Alcotest.test_case "deque lifo/fifo" `Quick test_deque_lifo_fifo;
@@ -209,4 +237,5 @@ let suite =
       (test_validate_bench "spectral" Platform.Presets.platform_b_accel);
     Alcotest.test_case "determinism across domains" `Slow test_determinism;
     Alcotest.test_case "metrics reported" `Slow test_metrics_reported;
+    Alcotest.test_case "validate shadowing" `Quick test_validate_shadowing;
   ]

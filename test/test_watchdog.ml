@@ -79,20 +79,17 @@ let test_eval_cancellation () =
       "int main() { int i; i = 0; while (i < 100000000) { i = i + 1; } return \
        i; }"
   in
-  let store : Interp.Eval.store = Hashtbl.create 8 in
+  let main = Option.get (Minic.Ast.find_func prog "main") in
+  let code =
+    Interp.Eval.compile ~globals:prog.Minic.Ast.globals main.Minic.Ast.fbody
+  in
   let env =
     Interp.Eval.make_env ~supervision
       ~max_steps:1_000_000_000
       ~profile:(Interp.Profile.create (Interp.Eval.profile_slots prog))
-      store
+      (Interp.Eval.new_store code)
   in
-  match
-    List.iter
-      (fun f ->
-        if f.Minic.Ast.fname = "main" then
-          Interp.Eval.exec_block_env env f.Minic.Ast.fbody)
-      prog.Minic.Ast.funcs
-  with
+  match Interp.Eval.exec_stmts env main.Minic.Ast.fbody with
   | () -> Alcotest.fail "expected cancellation"
   | exception Interp.Eval.Cancelled -> ()
   | exception Interp.Eval.Return_exn _ -> Alcotest.fail "ran to completion"
