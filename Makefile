@@ -49,7 +49,7 @@ perf-smoke:
 # benchmark per toggle-off configuration through the CLI.
 perf-gate: perf-smoke
 	./ci/check_bench.sh ci/bench_baseline.json BENCH_parallelize.json
-	@for t in presolve symmetry cuts seed-incumbent; do \
+	@for t in presolve symmetry cuts; do \
 	  ./_build/default/bin/mpsoc_par.exe bench mult_10 \
 	    -p platform-a-accel --ilp-time-limit 0.5 --$$t false >/dev/null \
 	    && echo "toggle-smoke: --$$t false ok" \

@@ -214,12 +214,12 @@ let perf_baseline_cfg =
     solve_cache = false;
     sweep_warm_start = false;
     ilp_work_limit = 0.;
-    (* pre-acceleration solver semantics: the baseline column must keep
-       measuring the historical search, not the presolved/cut one *)
+    (* the baseline column measures the search without the acceleration
+       toggles (branch & bound is still seeded with the heuristic point,
+       which is unconditional) *)
     ilp_presolve = false;
     ilp_symmetry = false;
     ilp_cuts = false;
-    ilp_seed_incumbent = false;
   }
 
 let perf_opt_cfg ~jobs ~work_limit =

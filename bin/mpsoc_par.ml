@@ -144,7 +144,7 @@ let cache_max_mb_arg =
           "Size cap of the persistent solve cache; least-recently-used \
            entries are evicted once the data file exceeds it.")
 
-(* The four ILP acceleration toggles ship as one bundle: every solving
+(* The three ILP acceleration toggles ship as one bundle: every solving
    subcommand takes all of them or none, and the solver treats them as a
    single configuration (they salt the memo/persistent cache keys
    together). *)
@@ -152,7 +152,6 @@ type accel = {
   presolve : bool;
   symmetry : bool;
   cuts : bool;
-  seed_incumbent : bool;
 }
 
 let accel_default =
@@ -160,7 +159,6 @@ let accel_default =
     presolve = Parcore.Config.default.Parcore.Config.ilp_presolve;
     symmetry = Parcore.Config.default.Parcore.Config.ilp_symmetry;
     cuts = Parcore.Config.default.Parcore.Config.ilp_cuts;
-    seed_incumbent = Parcore.Config.default.Parcore.Config.ilp_seed_incumbent;
   }
 
 let accel_term =
@@ -180,18 +178,11 @@ let accel_term =
   in
   let cuts =
     toggle "cuts" accel_default.cuts
-      "Separate knapsack cover cuts on the budget rows at the root node \
-       and periodically during the dive."
-  in
-  let seed =
-    toggle "seed-incumbent" accel_default.seed_incumbent
-      "Prime each top-level solve's incumbent with the greedy list \
-       schedule so fathoming starts from a real bound."
+      "Separate knapsack cover cuts on the budget rows at the root node."
   in
   Term.(
-    const (fun presolve symmetry cuts seed_incumbent ->
-        { presolve; symmetry; cuts; seed_incumbent })
-    $ presolve $ symmetry $ cuts $ seed)
+    const (fun presolve symmetry cuts -> { presolve; symmetry; cuts })
+    $ presolve $ symmetry $ cuts)
 
 let solver_arg =
   Arg.(
@@ -208,10 +199,11 @@ let solver_arg =
         ~doc:
           "Per-node solve engine: $(b,ilp) (exact branch & bound, the \
            default), $(b,heuristic) (list scheduler + seeded GA refiner, \
-           no branch & bound anywhere), or $(b,portfolio) (heuristic \
-           first, its makespan seeds an exact solve under a reduced \
-           deterministic work budget; the better answer wins).  All three \
-           are deterministic at any $(b,--jobs).")
+           no branch & bound anywhere), or $(b,portfolio) (exact search \
+           under a reduced deterministic work budget).  $(b,ilp) and \
+           $(b,portfolio) seed branch & bound with the heuristic's \
+           schedule and keep the better answer.  All three are \
+           deterministic at any $(b,--jobs).")
 
 let portfolio_work_limit_arg =
   Arg.(
@@ -246,7 +238,6 @@ let cfg_of ?(jobs = Parcore.Config.default.Parcore.Config.jobs)
     ilp_presolve = accel.presolve;
     ilp_symmetry = accel.symmetry;
     ilp_cuts = accel.cuts;
-    ilp_seed_incumbent = accel.seed_incumbent;
     solver;
     portfolio_work_limit;
   }
@@ -356,9 +347,7 @@ let exit_degraded (algo : Parcore.Algorithm.result) =
   | Some name ->
       (* diagnostic, not output: stderr keeps stdout machine-readable
          when --trace/--metrics write to - *)
-      Fmt.epr "degradation: %s — solver budget ran out; the solution is valid \
-               but possibly sub-optimal@."
-        name;
+      Fmt.epr "degradation: %s@." (Parcore.Algorithm.degradation_message name);
       exit 2
 
 (** Canonical solution digest (what the cold-vs-warm CI step diffs, and

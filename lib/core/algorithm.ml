@@ -1,7 +1,7 @@
 (** The global parallelization algorithm (paper Algorithm 1).
 
     Bottom-up over the AHTG: children are parallelized first; then, for the
-    node itself, the ILP ([Formulation.solve]) is run once per processor
+    node itself, the ILP ({!Portfolio.sweep}) is run once per processor
     class (as the main task's class) and per decreasing processor budget,
     collecting tagged parallel solution candidates.  DOALL loops
     additionally receive iteration-splitting candidates from
@@ -362,7 +362,8 @@ let digest (r : result) : string =
     solution carries a degradation tag worse than the solver mode's
     contract allows, or when the solver's degradation ladder engaged
     anywhere during the sweep (the candidate sets may then be missing
-    solutions the full search would have found).
+    solutions the full search would have found).  [name] is always the
+    root's worst tag; a ladder-only verdict says so in parentheses.
 
     The acceptable tier is mode-dependent: [Ilp] promises proved optima
     ([Exact]); [Heuristic] promises heuristic answers by design, so the
@@ -378,8 +379,14 @@ let degradation (r : result) : string option =
       | Config.Portfolio -> Solution.Incumbent)
   in
   let worst = Solution.worst_degradation r.root in
-  if Solution.degradation_rank worst > acceptable then
-    Some (Solution.degradation_name worst)
+  let name = Solution.degradation_name worst in
+  if Solution.degradation_rank worst > acceptable then Some name
   else if Ilp.Stats.ladder_engaged r.stats then
-    Some "exact (ladder engaged during the sweep)"
+    Some (name ^ " (ladder engaged during the sweep)")
   else None
+
+let degradation_message name =
+  name
+  ^ " — a solver search stopped before proving optimality (a limit ran \
+     out or a fault was injected); the solution is valid but possibly \
+     sub-optimal"

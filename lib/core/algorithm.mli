@@ -64,4 +64,10 @@ val digest : result -> string
 val degradation : result -> string option
 (** [Some name] iff the run must be reported degraded-but-valid (CLI
     exit 2 / serve status [degraded]): the chosen solution carries a
-    degradation tag, or the solver ladder engaged during the sweep. *)
+    degradation tag outside the solver mode's contract, or the solver
+    ladder engaged during the sweep.  [name] is the root's worst tag,
+    suffixed ["(ladder engaged during the sweep)"] in the second case. *)
+
+val degradation_message : string -> string
+(** The user-facing explanation of a {!degradation} verdict, shared by
+    the CLI's stderr line and the serve response's [message]. *)

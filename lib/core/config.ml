@@ -1,14 +1,13 @@
 (** Tuning knobs of the parallelization algorithm. *)
 
-(** Which solve engine maps each HTG node (the PR 10 portfolio axis).
+(** Which solve engine maps each HTG node ({!Portfolio} drives all three).
 
-    [Ilp] is the paper's exact Eq. 1–18 branch & bound — the historical
-    behaviour, bit-identical to earlier releases.  [Heuristic] replaces
-    the solver entirely with the AMTHA-style list scheduler plus the
-    seeded GA refiner: milliseconds per node, near-optimal schedules,
-    results tagged with the [Heuristic] tier (not degraded, exit 0).
-    [Portfolio] runs the heuristic first and hands its makespan to
-    branch & bound as the starting incumbent under a reduced
+    [Ilp] is the paper's exact Eq. 1–18 branch & bound, seeded with the
+    heuristic point.  [Heuristic] replaces the solver entirely with the
+    AMTHA-style list scheduler plus the seeded GA refiner: milliseconds
+    per node, near-optimal schedules, results tagged with the
+    [Heuristic] tier (not degraded, exit 0).  [Portfolio] seeds branch &
+    bound with the heuristic point the same way but under a reduced
     deterministic work budget ([portfolio_work_limit]): the exact search
     either proves optimality quickly or returns the (possibly improved)
     incumbent — never worse than the heuristic, usually much faster than
@@ -104,13 +103,7 @@ type t = {
           complete the paper's Eq. 10 task-label canonicalization *)
   ilp_cuts : bool;
       (** separate knapsack cover cuts on the budget rows at the root
-          ([--cuts]); in-dive separation exists in {!Ilp.Branch_bound}
-          but measured slower on the evaluation suite, so the pipeline
-          keeps it off *)
-  ilp_seed_incumbent : bool;
-      (** prime each solve's incumbent with the greedy list schedule
-          ([--seed-incumbent]), so fathoming starts from a real bound
-          instead of the first rounding success *)
+          ([--cuts]) *)
   solver : solver;
       (** solve engine per HTG node ([--solver]): [Ilp] (exact,
           default), [Portfolio] (heuristic incumbent + reduced-budget
@@ -148,7 +141,6 @@ let default =
     ilp_presolve = true;
     ilp_symmetry = true;
     ilp_cuts = true;
-    ilp_seed_incumbent = true;
     solver = Ilp;
     portfolio_work_limit = 4e6;
   }

@@ -1,9 +1,9 @@
 (** Tuning knobs of the parallelization algorithm. *)
 
 (** Which solve engine maps each HTG node: the exact ILP (default,
-    bit-identical to earlier releases), the heuristic-seeded portfolio
-    (heuristic incumbent + reduced-budget exact), or the pure heuristic
-    (list scheduler + seeded GA, no exact solver). *)
+    heuristic-seeded full-budget exact), the portfolio (heuristic-seeded
+    reduced-budget exact), or the pure heuristic (list scheduler + seeded
+    GA, no exact solver). *)
 type solver = Ilp | Portfolio | Heuristic
 
 type t = {
@@ -72,9 +72,6 @@ type t = {
   ilp_cuts : bool;
       (** separate knapsack cover cuts on the budget rows at the root
           ([--cuts]) *)
-  ilp_seed_incumbent : bool;
-      (** prime each solve's incumbent with the greedy list schedule
-          ([--seed-incumbent]) *)
   solver : solver;
       (** solve engine per HTG node ([--solver]); default [Ilp] *)
   portfolio_work_limit : float;

@@ -663,7 +663,7 @@ let hierarchical_warm_start (inp : input) (inst : instance) : float array =
   w
 
 (* ------------------------------------------------------------------ *)
-(* Greedy incumbent seed                                               *)
+(* Schedule to model point                                             *)
 (* ------------------------------------------------------------------ *)
 
 (** Evaluate the full model point implied by a parallel schedule [pk]:
@@ -672,9 +672,9 @@ let hierarchical_warm_start (inp : input) (inst : instance) : float array =
     order.  The construction is best-effort: a schedule the model rejects
     (e.g. a conflict pair split across chunks, or a candidate not in this
     instance's sets) yields [None] or an infeasible point — callers must
-    check [Model.feasible] before trusting the point.  This is the shared
-    schedule-to-model bridge of the greedy incumbent seed and of every
-    heuristic-engine schedule (PR 10 portfolio). *)
+    check [Model.feasible] before trusting the point.  This is the
+    schedule-to-model bridge of every heuristic-engine schedule
+    ({!Heuristics}). *)
 let par_point (inp : input) (inst : instance) (pk : Solution.par) :
     float array option =
       let k = Array.length inp.node.Htg.Node.children in
@@ -824,259 +824,78 @@ let par_point (inp : input) (inst : instance) (pk : Solution.par) :
         end
       end
 
-(** Model point of the greedy list schedule ([Config.ilp_seed_incumbent]):
-    a {e multi-task} incumbent complementing the sequential
-    {!hierarchical_warm_start}, fed to branch & bound as an extra start
-    (its own feasibility check filters rejected points). *)
-let greedy_seed (inp : input) (inst : instance) : float array option =
-  let edges3 =
-    List.map (fun e -> (e.e_src, e.e_dst, e.e_cost_us)) inst.all_edges
-  in
-  match
-    Degrade.greedy ~node:inp.node ~child_sets:inp.child_sets ~pf:inp.pf
-      ~seq_class:inp.seq_class ~budget:inp.budget ~edges:edges3 ()
-  with
-  | Some { Solution.kind = Solution.Par pk; _ } -> par_point inp inst pk
-  | Some _ | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let extract (inp : input) (inst : instance) (out : Solver.outcome) :
-    Solution.t option =
-  match out.Solver.x with
-  | None -> None
-  | Some sol ->
-      let value var = sol.(var) in
-      let bval var = sol.(var) > 0.5 in
-      let k = Array.length inp.node.Htg.Node.children in
-      let nclasses = Platform.Desc.num_classes inp.pf in
-      let v = inst.vars in
-      let assignment =
-        Array.init k (fun n ->
-            let t = ref 0 in
-            for u = 0 to inst.ntasks - 1 do
-              if bval v.x.(n).(u) then t := u
-            done;
-            !t)
-      in
-      let task_class =
-        Array.init inst.ntasks (fun t ->
-            if not (bval v.used.(t)) then -1
-            else begin
-              let cls = ref inp.seq_class in
-              for c = 0 to nclasses - 1 do
-                if bval v.map_tc.(t).(c) then cls := c
-              done;
-              !cls
-            end)
-      in
-      let child_choice =
-        Array.init k (fun n ->
-            let chosen = ref None in
-            Array.iteri
-              (fun c arr ->
-                Array.iteri
-                  (fun s var -> if bval var then chosen := Some inst.cands.(n).(c).(s))
-                  arr)
-              v.p.(n);
-            match !chosen with
-            | Some s -> s
-            | None -> inst.cands.(n).(inp.seq_class).(0))
-      in
-      (* extra units: each used non-main task's own unit + per task the
-         max inner usage over its children (Eq 14 semantics) *)
-      let extra = Array.make nclasses 0 in
-      for t = 0 to inst.ntasks - 1 do
-        if task_class.(t) >= 0 then begin
-          if t > 0 then extra.(task_class.(t)) <- extra.(task_class.(t)) + 1;
-          for c = 0 to nclasses - 1 do
-            let mx = ref 0 in
-            for n = 0 to k - 1 do
-              if assignment.(n) = t then
-                mx := max !mx child_choice.(n).Solution.extra_units.(c)
-            done;
-            extra.(c) <- extra.(c) + !mx
-          done
-        end
-      done;
-      let time_us = value v.exectime in
-      Some
-        {
-          Solution.node_id = inp.node.Htg.Node.id;
-          main_class = inp.seq_class;
-          time_us;
-          extra_units = extra;
-          degrade = Solution.Exact;
-          kind =
-            Solution.Par
-              {
-                Solution.assignment;
-                task_class;
-                child_choice;
-                par_time_breakdown = Solution.no_breakdown;
-              };
-        }
-
-(* ------------------------------------------------------------------ *)
-(* Degradation ladder                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let is_int_kind = function Model.Bool | Model.Int -> true | Model.Cont -> false
-
-(** Second rung: solve the root LP relaxation once, round the integer
-    variables, and accept the point only if it satisfies the full model.
-    The fabricated outcome carries [Feasible] so downstream sweep chaining
-    treats it like an incumbent-quality result (no [known_lb] proof). *)
-let lp_round (inp : input) (inst : instance) :
-    (Solution.t * Solver.outcome) option =
-  match Simplex.solve_counted inst.model with
-  | Simplex.Optimal { x; _ }, _ ->
-      let y = Array.copy x in
-      for v = 0 to Model.num_vars inst.model - 1 do
-        if is_int_kind (Model.var_info inst.model v).Model.kind then
-          y.(v) <- Float.round y.(v)
-      done;
-      if not (Model.feasible inst.model (fun v -> y.(v))) then None
-      else begin
-        let obj = Model.objective_value inst.model (fun v -> y.(v)) in
-        let out =
-          {
-            Solver.status = Branch_bound.Feasible;
-            x = Some y;
-            obj;
-            nodes = 0;
-            time_s = 0.;
-            incumbents = [];
-          }
-        in
-        Option.map
-          (fun r -> ({ r with Solution.degrade = Solution.Lp_round }, out))
-          (extract inp inst out)
-      end
-  | (Simplex.Infeasible | Simplex.Unbounded | Simplex.Stalled), _ -> None
-  | exception Fault.Injected _ ->
-      (* the relaxation's pivots hit the same probes branch & bound did;
-         give up on this rung and let the caller fall to greedy *)
-      None
-
-(** Rungs below best-incumbent, tried in order: LP rounding, greedy list
-    scheduling, and finally [None] — the node then keeps its sequential
-    candidate only (recorded as a seq-fallback in [stats]). *)
-let degrade_ladder ?stats (inp : input) (inst : instance) :
-    (Solution.t * Solver.outcome) option =
-  let record level =
-    (match stats with Some s -> Stats.record_degraded s level | None -> ());
-    if Trace.enabled () then
-      Trace.instant ~cat:"ilp" "degrade"
-        ~args:
-          [
-            ("node", Trace.Int inp.node.Htg.Node.id);
-            ( "rung",
-              Trace.Str
-                (match level with
-                | `Incumbent -> "incumbent"
-                | `Lp_round -> "lp_round"
-                | `Greedy -> "greedy"
-                | `Seq_fallback -> "seq_fallback") );
-          ]
+(** Decode a model point into a candidate (tagged [Exact]; the driver
+    retags incumbents and heuristic points). *)
+let extract (inp : input) (inst : instance) (sol : float array) : Solution.t =
+  let bval var = sol.(var) > 0.5 in
+  let k = Array.length inp.node.Htg.Node.children in
+  let nclasses = Platform.Desc.num_classes inp.pf in
+  let v = inst.vars in
+  let assignment =
+    Array.init k (fun n ->
+        let t = ref 0 in
+        for u = 0 to inst.ntasks - 1 do
+          if bval v.x.(n).(u) then t := u
+        done;
+        !t)
   in
-  match lp_round inp inst with
-  | Some r ->
-      record `Lp_round;
-      Some r
-  | None -> (
-      let edges =
-        List.map (fun e -> (e.e_src, e.e_dst, e.e_cost_us)) inst.all_edges
-      in
-      match
-        Degrade.greedy ~node:inp.node ~child_sets:inp.child_sets ~pf:inp.pf
-          ~seq_class:inp.seq_class ~budget:inp.budget ~edges ()
-      with
-      | Some r ->
-          record `Greedy;
-          let out =
-            {
-              Solver.status = Branch_bound.Feasible;
-              x = None;
-              obj = r.Solution.time_us;
-              nodes = 0;
-              time_s = 0.;
-              incumbents = [];
-            }
-          in
-          Some (r, out)
-      | None ->
-          record `Seq_fallback;
-          None)
-
-(** Run branch & bound on an already-built instance and classify the
-    outcome.  Solver limits and injected solver faults never lose the
-    subproblem: results are tagged with their {!Solution.degradation}
-    level and {!degrade_ladder} supplies a constructive fallback.  Shared
-    by the classic exact path ({!solve_ext}) and the portfolio driver,
-    which passes a reduced work limit and the heuristic incumbent as an
-    extra start. *)
-let solve_built ?stats ?cache (inp : input) (inst : instance) ~options
-    ~warm_start ~extra_starts : (Solution.t * Solver.outcome) option =
-  match
-    Solver.solve ~options ~warm_start ~extra_starts ?cache ?stats inst.model
-  with
-  | out -> (
-      match out.Solver.status with
-      | Branch_bound.Optimal ->
-          Option.map (fun r -> (r, out)) (extract inp inst out)
-      | Branch_bound.Feasible -> (
-          match extract inp inst out with
-          | Some r ->
-              (match stats with
-              | Some s -> Stats.record_degraded s `Incumbent
-              | None -> ());
-              if Trace.enabled () then
-                Trace.instant ~cat:"ilp" "degrade"
-                  ~args:
-                    [
-                      ("node", Trace.Int inp.node.Htg.Node.id);
-                      ("rung", Trace.Str "incumbent");
-                    ];
-              Some ({ r with Solution.degrade = Solution.Incumbent }, out)
-          | None -> None)
-      | Branch_bound.Infeasible | Branch_bound.Unbounded -> None
-      | Branch_bound.Limit -> degrade_ladder ?stats inp inst)
-  | exception Fault.Injected _ -> degrade_ladder ?stats inp inst
-
-(** Build and solve one ILPPAR instance.  Returns [None] when the node has
-    fewer than two children or the budget admits no parallelism.  [prev]
-    is the outcome of the preceding (larger-budget) solve of the same
-    sweep, chained into a lower bound and warm starts (see {!Sweep}). *)
-let solve_ext ?stats ?cache ?prev (inp : input) :
-    (Solution.t * Solver.outcome) option =
-  match build inp with
-  | None -> None
-  | Some inst ->
-      let options = Sweep.chain_options inp.cfg prev in
-      let warm = hierarchical_warm_start inp inst in
-      let extra_starts =
-        Sweep.chain_starts inp.cfg prev ~num_vars:(Model.num_vars inst.model)
-      in
-      (* greedy incumbent seeding: append the multi-task greedy schedule
-         as a starting point, after the chained trail so chained points
-         keep their historical precedence in the incumbent race *)
-      let extra_starts =
-        if inp.cfg.Config.ilp_seed_incumbent then
-          extra_starts
-          @ (match greedy_seed inp inst with Some y -> [ y ] | None -> [])
-        else extra_starts
-      in
-      solve_built ?stats ?cache inp inst ~options ~warm_start:warm
-        ~extra_starts
-
-let solve ?stats ?cache (inp : input) : Solution.t option =
-  Option.map fst (solve_ext ?stats ?cache inp)
-
-(** The full decreasing-budget ILPPAR sweep for one (node, class), with
-    cross-budget chaining; candidates in discovery order. *)
-let sweep ?stats ?cache ~total_units (inp : input) : Solution.t list =
-  Sweep.run ~total_units ~solve:(fun ~budget ~prev ->
-      solve_ext ?stats ?cache ?prev { inp with budget })
+  let task_class =
+    Array.init inst.ntasks (fun t ->
+        if not (bval v.used.(t)) then -1
+        else begin
+          let cls = ref inp.seq_class in
+          for c = 0 to nclasses - 1 do
+            if bval v.map_tc.(t).(c) then cls := c
+          done;
+          !cls
+        end)
+  in
+  let child_choice =
+    Array.init k (fun n ->
+        let chosen = ref None in
+        Array.iteri
+          (fun c arr ->
+            Array.iteri
+              (fun s var -> if bval var then chosen := Some inst.cands.(n).(c).(s))
+              arr)
+          v.p.(n);
+        match !chosen with
+        | Some s -> s
+        | None -> inst.cands.(n).(inp.seq_class).(0))
+  in
+  (* extra units: each used non-main task's own unit + per task the
+     max inner usage over its children (Eq 14 semantics) *)
+  let extra = Array.make nclasses 0 in
+  for t = 0 to inst.ntasks - 1 do
+    if task_class.(t) >= 0 then begin
+      if t > 0 then extra.(task_class.(t)) <- extra.(task_class.(t)) + 1;
+      for c = 0 to nclasses - 1 do
+        let mx = ref 0 in
+        for n = 0 to k - 1 do
+          if assignment.(n) = t then
+            mx := max !mx child_choice.(n).Solution.extra_units.(c)
+        done;
+        extra.(c) <- extra.(c) + !mx
+      done
+    end
+  done;
+  let time_us = sol.(v.exectime) in
+  {
+    Solution.node_id = inp.node.Htg.Node.id;
+    main_class = inp.seq_class;
+    time_us;
+    extra_units = extra;
+    degrade = Solution.Exact;
+    kind =
+      Solution.Par
+        {
+          Solution.assignment;
+          task_class;
+          child_choice;
+          par_time_breakdown = Solution.no_breakdown;
+        };
+  }

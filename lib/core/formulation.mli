@@ -5,7 +5,8 @@
     and communication overhead, and couples everything with a
     task-to-processor-class mapping under per-class unit budgets.  See
     the implementation header for the (behaviour-preserving) deviations
-    from the paper's notation. *)
+    from the paper's notation.  This module is the model only; the solve
+    driver is {!Portfolio}. *)
 
 type input = {
   node : Htg.Node.t;
@@ -62,57 +63,11 @@ val hierarchical_warm_start : input -> instance -> float array
 
 (** Full model point implied by a parallel schedule (assignment, task
     classes, child choices).  Best-effort: callers must check
-    [Ilp.Model.feasible] before trusting the point.  Shared bridge of the
-    greedy incumbent seed and the heuristic engine's schedules. *)
+    [Ilp.Model.feasible] before trusting the point.  The bridge from the
+    heuristic engine's schedules to the model. *)
 val par_point : input -> instance -> Solution.par -> float array option
 
-(** Decode a solver outcome's point into a candidate solution (tagged
-    [Exact]; callers retag degraded results). *)
-val extract : input -> instance -> Ilp.Solver.outcome -> Solution.t option
-
-(** Run branch & bound on a built instance and classify the outcome;
-    limits and injected faults fall down the degradation ladder. *)
-val solve_built :
-  ?stats:Ilp.Stats.t ->
-  ?cache:Ilp.Memo.t ->
-  input ->
-  instance ->
-  options:Ilp.Branch_bound.options ->
-  warm_start:float array ->
-  extra_starts:float array list ->
-  (Solution.t * Ilp.Solver.outcome) option
-
-(** Rungs below best-incumbent, tried in order: LP rounding, greedy list
-    scheduling, then [None] (seq-fallback, recorded in [stats]). *)
-val degrade_ladder :
-  ?stats:Ilp.Stats.t ->
-  input ->
-  instance ->
-  (Solution.t * Ilp.Solver.outcome) option
-
-(** Build and solve one ILPPAR instance.  [None] when the node has fewer
-    than two children or the budget admits no parallelism; otherwise the
-    extracted candidate (tagged [seq_class]), even if only the warm-start
-    incumbent survived the solver limits.  [cache] memoizes the solve on
-    the model's structural fingerprint. *)
-val solve : ?stats:Ilp.Stats.t -> ?cache:Ilp.Memo.t -> input -> Solution.t option
-
-(** Like {!solve} but also returns the raw solver outcome; [prev] chains
-    the preceding (larger-budget) outcome of the same sweep into a lower
-    bound and warm starts (see {!Sweep}). *)
-val solve_ext :
-  ?stats:Ilp.Stats.t ->
-  ?cache:Ilp.Memo.t ->
-  ?prev:Ilp.Solver.outcome ->
-  input ->
-  (Solution.t * Ilp.Solver.outcome) option
-
-(** The full decreasing-budget ILPPAR sweep for one (node, class) —
-    [input.budget] is ignored, the sweep starts at [total_units] — with
-    cross-budget chaining; candidates in discovery order. *)
-val sweep :
-  ?stats:Ilp.Stats.t ->
-  ?cache:Ilp.Memo.t ->
-  total_units:int ->
-  input ->
-  Solution.t list
+(** Decode a model point (a branch & bound answer or a heuristic point)
+    into a candidate tagged [Exact]; the driver ({!Portfolio}) retags
+    incumbents and heuristic points. *)
+val extract : input -> instance -> float array -> Solution.t

@@ -1,4 +1,6 @@
-(** Heuristic scheduling engine of the solver portfolio.
+(** The list scheduler of the solver portfolio ({!Portfolio}): its best
+    point answers [--solver=heuristic], starts branch & bound under the
+    exact engines, and replaces a failed search.
 
     Produces good-but-unproven schedules for the same ILPPAR subproblem
     {!Formulation.build} models, without running branch & bound: a family
@@ -82,8 +84,8 @@ let balanced_cut ~k ~m (cost : int -> float) : int array =
 
 (** Classes for [m] chunks: the main chunk keeps [seq_class]; the others
     greedily take the fastest classes with free units (deterministic
-    tie-break on the class index), as {!Degrade.greedy} does.  [None]
-    when the platform cannot host [m] tasks at all. *)
+    tie-break on the class index).  [None] when the platform cannot host
+    [m] tasks at all. *)
 let greedy_classes (pf : Platform.Desc.t) ~seq_class ~m : int array option =
   let nclasses = Platform.Desc.num_classes pf in
   let avail = Array.copy (Platform.Desc.units_per_class pf) in
@@ -412,27 +414,3 @@ let best_point ?stats ?cache (inp : Formulation.input)
           ("cached", Trace.Bool cached);
         ];
   result
-
-(** Solve one subproblem purely heuristically ([--solver=heuristic]):
-    the best heuristic schedule extracted as a candidate tagged
-    {!Solution.Heuristic}, with a fabricated [Feasible] outcome so the
-    sweep's budget chaining works unchanged.  [None] when no feasible
-    point was found (the node keeps its sequential candidate). *)
-let solve ?stats ?cache (inp : Formulation.input)
-    (inst : Formulation.instance) : (Solution.t * Solver.outcome) option =
-  match best_point ?stats ?cache inp inst with
-  | None -> None
-  | Some (w, obj) ->
-      let out =
-        {
-          Solver.status = Branch_bound.Feasible;
-          x = Some w;
-          obj;
-          nodes = 0;
-          time_s = 0.;
-          incumbents = [];
-        }
-      in
-      Option.map
-        (fun r -> ({ r with Solution.degrade = Solution.Heuristic }, out))
-        (Formulation.extract inp inst out)

@@ -1,8 +1,10 @@
-(** Heuristic scheduling engine of the solver portfolio: AMTHA-style
-    balanced list schedules refined by a small seeded genetic algorithm,
-    evaluated against the {e exact} ILPPAR model ({!Formulation.par_point}
-    + [Ilp.Model.feasible]) so only optimality is forgone.  Fully
-    deterministic at any worker count. *)
+(** The list scheduler: AMTHA-style balanced list schedules refined by a
+    small seeded genetic algorithm, evaluated against the {e exact}
+    ILPPAR model ({!Formulation.par_point} + [Ilp.Model.feasible]) so
+    only optimality is forgone.  Its best point is the heuristic engine's
+    answer, a branch & bound start under the exact engines, and the
+    fallback when a search fails ({!Portfolio}).  Fully deterministic at
+    any worker count. *)
 
 (** Best heuristic point of one built instance: the full model point and
     its exact-model objective.  Memoized in [cache] under the
@@ -14,14 +16,3 @@ val best_point :
   Formulation.input ->
   Formulation.instance ->
   (float array * float) option
-
-(** Solve one subproblem purely heuristically ([--solver=heuristic]):
-    the best schedule extracted as a candidate tagged
-    {!Solution.Heuristic}, with a fabricated [Feasible] outcome so sweep
-    budget chaining works unchanged. *)
-val solve :
-  ?stats:Ilp.Stats.t ->
-  ?cache:Ilp.Memo.t ->
-  Formulation.input ->
-  Formulation.instance ->
-  (Solution.t * Ilp.Solver.outcome) option

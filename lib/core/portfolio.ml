@@ -1,24 +1,30 @@
-(** Per-node solver portfolio ([Config.solver]).
+(** The ILPPAR solve driver: answers each (node, class, budget) call of
+    Algorithm 1 under the configured engine ([Config.solver]).
 
-    Dispatches each ILPPAR subproblem to one of three engines:
+    Every engine builds the instance and takes the heuristic point
+    ({!Heuristics.best_point}, memoized):
 
-    - [Ilp]: the classic exact path, delegated verbatim to
-      {!Formulation.solve_ext} — results (and every byte feeding the
-      solution digest) are identical to a build without this module;
-    - [Heuristic]: the list-scheduler/GA engine ({!Heuristics}) alone —
-      no branch & bound anywhere, candidates tagged
-      {!Solution.Heuristic};
-    - [Portfolio]: the heuristic runs first and its makespan seeds branch
-      & bound as an incumbent (an extra start appended after the sweep's
-      chained trail), while the exact search runs under the reduced
-      deterministic budget [Config.portfolio_work_limit].  The better
-      answer wins; which engine won, and the quality gap the heuristic
-      left when it lost, are recorded in {!Ilp.Stats} and as a
-      ["portfolio.race"] trace instant.
+    - [Heuristic]: that point is the answer, tagged {!Solution.Heuristic}
+      — no branch & bound anywhere;
+    - [Ilp] and [Portfolio]: branch & bound starts from the sequential
+      warm start, the sweep's chained incumbent trail and the heuristic
+      point, under the budget {!Sweep.chain_options} picks for the engine
+      (the exact budget, or portfolio's reduced deterministic one).  The
+      better of the branch & bound answer and the heuristic point wins;
+      the race (winning engine, quality gap) is recorded in {!Ilp.Stats}
+      and as a ["portfolio.race"] trace instant.
 
-    Everything downstream (budget sweep, candidate pruning, degradation
-    accounting) is engine-agnostic; determinism at any [--jobs] follows
-    from the engines' own determinism. *)
+    Degradation ladder: a proved optimum is tagged [Exact] and a best
+    incumbent at a limit [Incumbent].  A search that ends with no
+    incumbent ([Limit]) or hits an injected fault answers with the
+    heuristic point already in hand, tagged [Heuristic]; with no
+    heuristic point either, the node keeps only its sequential candidate.
+    Each rung reached is counted in {!Ilp.Stats} and traced as a
+    ["degrade"] instant.
+
+    Everything downstream (budget sweep, candidate pruning) is
+    engine-agnostic; determinism at any [--jobs] follows from the
+    engines' own determinism. *)
 
 open Ilp
 
@@ -49,9 +55,27 @@ let record_race ?stats (inp : Formulation.input) ~heur_obj ~exact_obj =
           ("quality_gap", Trace.Float gap);
         ]
 
-let heuristic_result (inp : Formulation.input) (inst : Formulation.instance)
-    (w : float array) (obj : float) : (Solution.t * Solver.outcome) option =
-  let out =
+let record_rung ?stats (inp : Formulation.input) rung =
+  (match stats with Some s -> Stats.record_degraded s rung | None -> ());
+  if Trace.enabled () then
+    Trace.instant ~cat:"ilp" "degrade"
+      ~args:
+        [
+          ("node", Trace.Int inp.Formulation.node.Htg.Node.id);
+          ( "rung",
+            Trace.Str
+              (match rung with
+              | `Incumbent -> "incumbent"
+              | `Heuristic -> "heuristic"
+              | `Sequential -> "seq_fallback") );
+        ]
+
+(* A heuristic point as a candidate tagged [Heuristic], with a fabricated
+   [Feasible] outcome so the sweep's budget chaining treats it like an
+   unproved incumbent. *)
+let heuristic_candidate (inp : Formulation.input) (inst : Formulation.instance)
+    (w, obj) : Solution.t * Solver.outcome =
+  ( { (Formulation.extract inp inst w) with Solution.degrade = Solution.Heuristic },
     {
       Solver.status = Branch_bound.Feasible;
       x = Some w;
@@ -59,64 +83,67 @@ let heuristic_result (inp : Formulation.input) (inst : Formulation.instance)
       nodes = 0;
       time_s = 0.;
       incumbents = [];
-    }
-  in
-  Option.map
-    (fun r -> ({ r with Solution.degrade = Solution.Heuristic }, out))
-    (Formulation.extract inp inst out)
+    } )
 
 let solve_ext ?stats ?cache ?prev (inp : Formulation.input) :
     (Solution.t * Solver.outcome) option =
-  match inp.Formulation.cfg.Config.solver with
-  | Config.Ilp -> Formulation.solve_ext ?stats ?cache ?prev inp
-  | Config.Heuristic -> (
-      match Formulation.build inp with
-      | None -> None
-      | Some inst -> Heuristics.solve ?stats ?cache inp inst)
-  | Config.Portfolio -> (
-      match Formulation.build inp with
-      | None -> None
-      | Some inst -> (
-          let cfg = inp.Formulation.cfg in
-          let heur = Heuristics.best_point ?stats ?cache inp inst in
-          (* the race's determinism lever is the reduced work budget, itself
-             deterministic (simplex work units, not wall clock); it is
-             applied inside {!Sweep.chain_options} so the Split/Pipe
-             auxiliary sweeps run under the same bound *)
-          let options = Sweep.chain_options cfg prev in
-          let warm = Formulation.hierarchical_warm_start inp inst in
+  match Formulation.build inp with
+  | None -> None
+  | Some inst -> (
+      let cfg = inp.Formulation.cfg in
+      let heur = Heuristics.best_point ?stats ?cache inp inst in
+      match cfg.Config.solver with
+      | Config.Heuristic -> Option.map (heuristic_candidate inp inst) heur
+      | Config.Ilp | Config.Portfolio -> (
+          let model = inst.Formulation.model in
+          (* the heuristic point enters the race last, after the chained
+             trail *)
           let extra_starts =
-            Sweep.chain_starts cfg prev
-              ~num_vars:(Model.num_vars inst.Formulation.model)
-          in
-          (* the heuristic incumbent enters the race last, after the
-             chained trail, as the seeded lower-priority start *)
-          let extra_starts =
-            extra_starts
+            Sweep.chain_starts cfg prev ~num_vars:(Model.num_vars model)
             @ match heur with Some (w, _) -> [ w ] | None -> []
           in
-          let exact =
-            Formulation.solve_built ?stats ?cache inp inst ~options
-              ~warm_start:warm ~extra_starts
+          let fallback () =
+            match heur with
+            | Some h ->
+                record_rung ?stats inp `Heuristic;
+                Some (heuristic_candidate inp inst h)
+            | None ->
+                record_rung ?stats inp `Sequential;
+                None
           in
-          match (exact, heur) with
-          | Some ((r, out) as res), Some (w, hobj) ->
-              record_race ?stats inp ~heur_obj:hobj ~exact_obj:out.Solver.obj;
-              (* keep the strictly better answer: a ladder fallback can be
-                 worse than the heuristic point it never saw *)
-              if r.Solution.time_us > hobj +. 1e-9 then
-                heuristic_result inp inst w hobj
-              else Some res
-          | Some res, None -> Some res
-          | None, Some (w, hobj) -> heuristic_result inp inst w hobj
-          | None, None -> None))
-
-let solve ?stats ?cache (inp : Formulation.input) : Solution.t option =
-  Option.map fst (solve_ext ?stats ?cache inp)
+          match
+            Solver.solve
+              ~options:(Sweep.chain_options cfg prev)
+              ~warm_start:(Formulation.hierarchical_warm_start inp inst)
+              ~extra_starts ?cache ?stats model
+          with
+          | exception Fault.Injected _ -> fallback ()
+          | { Solver.status = Branch_bound.Limit; _ } -> fallback ()
+          | {
+              Solver.status = (Branch_bound.Optimal | Branch_bound.Feasible) as status;
+              x = Some x;
+              obj;
+              _;
+            } as out -> (
+              let degrade =
+                if status = Branch_bound.Optimal then Solution.Exact
+                else begin
+                  record_rung ?stats inp `Incumbent;
+                  Solution.Incumbent
+                end
+              in
+              let r = { (Formulation.extract inp inst x) with Solution.degrade } in
+              match heur with
+              | None -> Some (r, out)
+              | Some ((_, hobj) as h) ->
+                  record_race ?stats inp ~heur_obj:hobj ~exact_obj:obj;
+                  if r.Solution.time_us > hobj +. 1e-9 then
+                    Some (heuristic_candidate inp inst h)
+                  else Some (r, out))
+          | _ -> (* infeasible or unbounded *) None))
 
 (** The full decreasing-budget sweep for one (node, class) under the
-    configured engine; candidates in discovery order.  With
-    [Config.solver = Ilp] this is {!Formulation.sweep} exactly. *)
+    configured engine; candidates in discovery order. *)
 let sweep ?stats ?cache ~total_units (inp : Formulation.input) :
     Solution.t list =
   Sweep.run ~total_units ~solve:(fun ~budget ~prev ->

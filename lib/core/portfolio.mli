@@ -1,17 +1,17 @@
-(** Per-node solver portfolio ([Config.solver]): dispatches each ILPPAR
-    subproblem to the exact engine ([Ilp] — bit-identical to
-    {!Formulation.solve_ext}), the heuristic engine alone ([Heuristic]),
-    or a race where the heuristic's makespan seeds branch & bound as an
-    incumbent under a reduced deterministic work budget ([Portfolio]).
-    Race outcomes (winning engine, quality gap) are recorded in
-    {!Ilp.Stats} and as ["portfolio.race"] trace instants. *)
+(** The ILPPAR solve driver ([Config.solver]).  Every engine takes the
+    heuristic point ({!Heuristics.best_point}); [Heuristic] answers with
+    it, [Ilp] and [Portfolio] seed branch & bound with it under their
+    own budgets and keep the better answer.  A failed search (limit
+    without an incumbent, or an injected fault) answers with the
+    heuristic point, tagged {!Solution.Heuristic}.  Race outcomes and
+    ladder rungs are recorded in {!Ilp.Stats} and as trace instants. *)
 
-val solve :
-  ?stats:Ilp.Stats.t ->
-  ?cache:Ilp.Memo.t ->
-  Formulation.input ->
-  Solution.t option
-
+(** Solve one (node, class, budget) subproblem.  [None] when the node has
+    fewer than two children, the budget admits no parallelism, or no
+    answer exists (the node keeps its sequential candidate); [prev]
+    chains the preceding (larger-budget) outcome of the same sweep into a
+    lower bound and warm starts (see {!Sweep}).  [cache] memoizes both
+    the heuristic point and the search. *)
 val solve_ext :
   ?stats:Ilp.Stats.t ->
   ?cache:Ilp.Memo.t ->
@@ -20,8 +20,9 @@ val solve_ext :
   (Solution.t * Ilp.Solver.outcome) option
 
 (** The full decreasing-budget sweep for one (node, class) under the
-    configured engine; with [Config.solver = Ilp] this is exactly
-    {!Formulation.sweep}. *)
+    configured engine — [input.budget] is ignored, the sweep starts at
+    [total_units] — with cross-budget chaining; candidates in discovery
+    order. *)
 val sweep :
   ?stats:Ilp.Stats.t ->
   ?cache:Ilp.Memo.t ->

@@ -8,23 +8,17 @@
 
 (** How far down the solver degradation ladder a candidate was produced.
     [Exact] and [Incumbent] come from branch & bound (proved optimum vs
-    best incumbent at a limit); the later rungs are engaged only when the
-    search ran out of budget with no incumbent at all (or a fault was
-    injected into the solver), so a disarmed, warm-started run never
-    produces them. *)
+    best incumbent at a limit); [Heuristic] is the list scheduler's
+    point — the native tier of [--solver=heuristic], and the fallback
+    when a search ends with no incumbent at all (or a fault was injected
+    into the solver). *)
 type degradation =
   | Exact  (** ILP proved optimal (or construction needs no solver) *)
   | Incumbent  (** budget ran out; best branch & bound incumbent *)
-  | Lp_round  (** rounded LP relaxation, feasibility re-checked *)
-  | Greedy  (** greedy list-scheduling over processor classes *)
-  | Seq_fallback  (** the always-feasible sequential solution *)
   | Heuristic
-      (** portfolio list-scheduler / GA schedule, feasibility-checked
-          against the exact model ([--solver=heuristic]'s native tier).
-          Declared last so the constructor tags of the historical levels
-          — and with them the Marshal-based solution digests of pure-ILP
-          runs — are unchanged; {!degradation_rank} still orders it right
-          after [Exact]. *)
+      (** list-scheduler / GA schedule, feasibility-checked against the
+          exact model; {!degradation_rank} orders it right after
+          [Exact] *)
 
 type t = {
   node_id : int;  (** AHTG node this candidate belongs to *)
@@ -89,21 +83,12 @@ let num_tasks s =
 
 let is_sequential s = match s.kind with Seq _ -> true | _ -> false
 
-let degradation_rank = function
-  | Exact -> 0
-  | Heuristic -> 1
-  | Incumbent -> 2
-  | Lp_round -> 3
-  | Greedy -> 4
-  | Seq_fallback -> 5
+let degradation_rank = function Exact -> 0 | Heuristic -> 1 | Incumbent -> 2
 
 let degradation_name = function
   | Exact -> "exact"
   | Heuristic -> "heuristic"
   | Incumbent -> "incumbent"
-  | Lp_round -> "lp-round"
-  | Greedy -> "greedy"
-  | Seq_fallback -> "seq-fallback"
 
 (** Worst degradation anywhere in the candidate's choice tree: the level
     the whole solution must be reported at. *)

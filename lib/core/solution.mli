@@ -6,20 +6,17 @@
 
 (** How far down the solver degradation ladder a candidate was produced.
     [Exact] and [Incumbent] come from branch & bound (proved optimum vs
-    best incumbent at a limit); the later rungs are engaged only when the
-    search ran out of budget with no incumbent at all (or a fault was
-    injected into the solver). *)
+    best incumbent at a limit); [Heuristic] is the list scheduler's
+    point — the native tier of [--solver=heuristic], and the fallback
+    when a search ends with no incumbent at all (or a fault was injected
+    into the solver). *)
 type degradation =
   | Exact  (** ILP proved optimal (or construction needs no solver) *)
   | Incumbent  (** budget ran out; best branch & bound incumbent *)
-  | Lp_round  (** rounded LP relaxation, feasibility re-checked *)
-  | Greedy  (** greedy list-scheduling over processor classes *)
-  | Seq_fallback  (** the always-feasible sequential solution *)
   | Heuristic
-      (** portfolio list-scheduler / GA schedule, feasibility-checked
-          against the exact model; declared last so historical
-          constructor tags (and pure-ILP solution digests) are stable,
-          but ranked right after [Exact] *)
+      (** list-scheduler / GA schedule, feasibility-checked against the
+          exact model; {!degradation_rank} orders it right after
+          [Exact] *)
 
 type t = {
   node_id : int;  (** AHTG node this candidate belongs to *)
@@ -69,8 +66,8 @@ val num_tasks : t -> int
 val is_sequential : t -> bool
 
 val degradation_rank : degradation -> int
-(** 0 for [Exact], 1 for [Heuristic], … 5 for [Seq_fallback]; monotone
-    in severity. *)
+(** 0 for [Exact], 1 for [Heuristic], 2 for [Incumbent]; monotone in
+    severity. *)
 
 val degradation_name : degradation -> string
 

@@ -52,12 +52,6 @@ let chain_options (cfg : Config.t) (prev : Solver.outcome option) :
          search made under another toggle set *)
       presolve = cfg.Config.ilp_presolve;
       cut_rounds = (if cfg.Config.ilp_cuts then 4 else 0);
-      (* root-only separation: in-dive rounds re-solve the relaxation
-         mid-dive, and measured on the evaluation suite the extra pivots
-         cost more than the tightened bounds saved (platform B regressed
-         ~50% wall).  The mechanism stays available via
-         {!Branch_bound.options.cut_every} for callers that want it. *)
-      cut_every = 0;
     }
   in
   match prev with

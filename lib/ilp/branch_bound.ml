@@ -23,7 +23,7 @@ type solution = {
   obj : float;  (** objective of [x] in the model's own sense *)
   nodes : int;  (** branch & bound nodes processed *)
   pivots : int;  (** simplex pivots across all LP relaxations *)
-  cuts : int;  (** cover cuts added (root rounds plus in-dive) *)
+  cuts : int;  (** cover cuts added by the root rounds *)
   incumbents : float array list;
       (** trail of improving incumbents found during the search, most
           recent (= best) first, capped; used to warm-start related
@@ -42,10 +42,6 @@ type options = {
       (** acted on by {!Solver.solve}, which runs {!Presolve} and lifts;
           carried here so the toggle salts {!Memo} fingerprints *)
   cut_rounds : int;  (** rounds of root cover-cut separation (0 = off) *)
-  cut_every : int;
-      (** separate cover cuts at every [cut_every]-th node during the
-          dive (0 = off); cover cuts are globally valid, so in-dive cuts
-          are sound to share across the whole tree *)
   hard_work_limit : bool;
       (** enforce [work_limit] {e inside} LP solves too: a relaxation
           whose pivots would overshoot the remaining budget is aborted
@@ -70,7 +66,6 @@ let default_options =
        toggles on from [Config] *)
     presolve = false;
     cut_rounds = 0;
-    cut_every = 0;
     hard_work_limit = false;
   }
 
@@ -205,7 +200,7 @@ let fix_and_solve model (node_lb : float array) (node_ub : float array)
 
 let solve ?(options = default_options) ?warm_start ?(extra_starts = [])
     (model : Model.t) : solution =
-  let use_cuts = options.cut_rounds > 0 || options.cut_every > 0 in
+  let use_cuts = options.cut_rounds > 0 in
   (* cuts are appended to a private copy so the caller's model (which
      [Solver] fingerprints for the memo cache) is never mutated *)
   let model = if use_cuts then Model.copy model else model in
@@ -384,21 +379,6 @@ let solve ?(options = default_options) ?warm_start ?(extra_starts = [])
                       if Model.feasible model (fun v -> y.(v)) then
                         consider_incumbent y
                   | Some v ->
-                      (* in-dive separation: cover cuts are globally
-                         valid, so cuts found at this node tighten every
-                         open subproblem's relaxation *)
-                      if
-                        options.cut_every > 0
-                        && !nodes mod options.cut_every = 0
-                      then begin
-                        let cuts =
-                          Cuts.separate model x ~seen:seen_cuts ~max_cuts:8
-                        in
-                        if cuts <> [] then begin
-                          Cuts.add model cuts;
-                          cuts_added := !cuts_added + List.length cuts
-                        end
-                      end;
                       let xv = x.(v) in
                       let down_ub = Array.copy nd.nub in
                       down_ub.(v) <- Float.floor xv;
@@ -432,8 +412,8 @@ let solve ?(options = default_options) ?warm_start ?(extra_starts = [])
       else if !hit_limit then
         (* limit ran out before any incumbent was found: not a proof of
            infeasibility, so report it as such and let the caller degrade
-           (LP rounding, greedy scheduling, sequential fallback).  Note a
-           warm-started solve can never land here — the seed is already an
+           (heuristic point, sequential fallback).  Note a warm-started
+           solve can never land here — the seed is already an
            incumbent. *)
         finish Limit None nan []
       else finish Infeasible None nan []

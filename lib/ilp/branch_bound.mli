@@ -14,8 +14,8 @@ type status =
   | Limit
       (** a work/node/time limit ran out before any incumbent was found:
           feasibility is unknown.  Callers should fall back to a degraded
-          construction (LP rounding, greedy scheduling) rather than treat
-          the subproblem as infeasible.  A warm-started solve never
+          construction (a heuristic schedule) rather than treat the
+          subproblem as infeasible.  A warm-started solve never
           returns [Limit]: the seed already is an incumbent. *)
 
 type solution = {
@@ -26,7 +26,7 @@ type solution = {
   pivots : int;
       (** simplex pivots summed over all LP relaxations of this solve —
           exact and deterministic, unlike wall-clock time *)
-  cuts : int;  (** cover cuts added (root rounds plus in-dive) *)
+  cuts : int;  (** cover cuts added by the root rounds *)
   incumbents : float array list;
       (** trail of improving incumbents, most recent (= best) first,
           capped at a few entries; feed them to a related solve's
@@ -57,10 +57,6 @@ type options = {
   cut_rounds : int;
       (** rounds of root cover-cut separation; 0 (the default)
           disables cutting planes entirely *)
-  cut_every : int;
-      (** separate cover cuts every [cut_every]-th node during the dive;
-          0 (the default) disables in-dive separation.  Cover cuts are
-          globally valid, so sharing them across the tree is sound. *)
   hard_work_limit : bool;
       (** enforce [work_limit] inside LP solves too: a relaxation that
           would overshoot the remaining budget aborts mid-solve and the

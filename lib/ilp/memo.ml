@@ -126,7 +126,6 @@ let fingerprint ?engine ?(options = Branch_bound.default_options) ?warm_start
      toggle can never replay a solution computed under another one *)
   add_int b (if options.Branch_bound.presolve then 1 else 0);
   add_int b options.Branch_bound.cut_rounds;
-  add_int b options.Branch_bound.cut_every;
   (* starting points seed the incumbent, which steers the search *)
   let add_point y =
     add_int b (Array.length y);

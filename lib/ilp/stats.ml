@@ -27,25 +27,28 @@ type t = {
           in [ilps] — that stays the number of ILPs actually solved *)
   mutable deg_incumbent : int;
       (** solves that hit a limit and delivered their best incumbent *)
-  mutable deg_lp_round : int;  (** fallbacks to rounded LP relaxations *)
-  mutable deg_greedy : int;  (** fallbacks to greedy list scheduling *)
+  mutable deg_lp_round : int;
+      (** always 0: the LP-rounding rung is gone; the field stays only
+          because perfbench reads it *)
+  mutable deg_greedy : int;
+      (** solves whose search failed (limit without an incumbent, or a
+          solver fault) and fell back to the heuristic point *)
   mutable deg_seq : int;
-      (** solves where even the greedy fallback failed and the node kept
+      (** failed solves with no heuristic point either: the node kept
           only its sequential candidate *)
   mutable heuristic_solves : int;
-      (** subproblems answered by the portfolio's list-scheduler/GA
-          engine (no branch & bound); disjoint from [ilps] *)
+      (** heuristic points computed by the list-scheduler/GA engine
+          (every engine takes one per subproblem); disjoint from [ilps] *)
   mutable heur_time_s : float;
       (** wall time spent inside the heuristic engine *)
   mutable wins_heuristic : int;
-      (** portfolio races where the heuristic incumbent survived (the
-          reduced-budget exact search could not improve on it) *)
+      (** races where the heuristic point survived (branch & bound
+          could not improve on it) *)
   mutable wins_exact : int;
-      (** portfolio races where branch & bound improved on the
-          heuristic incumbent *)
+      (** races where branch & bound improved on the heuristic point *)
   mutable quality_gap_max : float;
       (** worst observed relative gap (heur - exact) / exact across the
-          portfolio races that the exact engine won; merged with [max] *)
+          races that the exact engine won; merged with [max] *)
 }
 
 let create () =
@@ -112,7 +115,7 @@ let record_heuristic t ~time_s =
   t.heuristic_solves <- t.heuristic_solves + 1;
   t.heur_time_s <- t.heur_time_s +. time_s
 
-(** Outcome of one portfolio race: which engine's answer was kept, and
+(** Outcome of one race between branch & bound and the heuristic point: which engine's answer was kept, and
     (when the exact engine improved on the heuristic) the relative
     quality gap the heuristic left on the table. *)
 let record_race t ~winner ~quality_gap =
@@ -126,14 +129,13 @@ let record_race t ~winner ~quality_gap =
 let record_degraded t level =
   match level with
   | `Incumbent -> t.deg_incumbent <- t.deg_incumbent + 1
-  | `Lp_round -> t.deg_lp_round <- t.deg_lp_round + 1
-  | `Greedy -> t.deg_greedy <- t.deg_greedy + 1
-  | `Seq_fallback -> t.deg_seq <- t.deg_seq + 1
+  | `Heuristic -> t.deg_greedy <- t.deg_greedy + 1
+  | `Sequential -> t.deg_seq <- t.deg_seq + 1
 
 (** [true] iff any solve fell below the best-incumbent rung, i.e. the
     candidate sets may be missing solutions branch & bound would have
     found with enough budget. *)
-let ladder_engaged t = t.deg_lp_round > 0 || t.deg_greedy > 0 || t.deg_seq > 0
+let ladder_engaged t = t.deg_greedy > 0 || t.deg_seq > 0
 
 let merge ~into:a b =
   a.ilps <- a.ilps + b.ilps;
@@ -170,8 +172,7 @@ let pp ppf t =
   if t.cuts > 0 then Fmt.pf ppf ", cuts %d" t.cuts;
   if t.cache_hits > 0 then Fmt.pf ppf ", cache hits %d" t.cache_hits;
   if t.deg_incumbent > 0 then Fmt.pf ppf ", incumbent-only %d" t.deg_incumbent;
-  if t.deg_lp_round > 0 then Fmt.pf ppf ", lp-round %d" t.deg_lp_round;
-  if t.deg_greedy > 0 then Fmt.pf ppf ", greedy %d" t.deg_greedy;
+  if t.deg_greedy > 0 then Fmt.pf ppf ", heuristic-fallback %d" t.deg_greedy;
   if t.deg_seq > 0 then Fmt.pf ppf ", seq-fallback %d" t.deg_seq;
   if t.heuristic_solves > 0 then
     Fmt.pf ppf ", heuristic %d (%.2fs)" t.heuristic_solves t.heur_time_s;

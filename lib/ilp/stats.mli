@@ -25,23 +25,27 @@ type t = {
           which stays the number of ILPs actually solved *)
   mutable deg_incumbent : int;
       (** solves that hit a limit and delivered their best incumbent *)
-  mutable deg_lp_round : int;  (** fallbacks to rounded LP relaxations *)
-  mutable deg_greedy : int;  (** fallbacks to greedy list scheduling *)
+  mutable deg_lp_round : int;
+      (** always 0: the LP-rounding rung is gone; the field stays only
+          because perfbench reads it *)
+  mutable deg_greedy : int;
+      (** solves whose search failed (limit without an incumbent, or a
+          solver fault) and fell back to the heuristic point *)
   mutable deg_seq : int;
-      (** solves where even the greedy fallback failed and the node kept
+      (** failed solves with no heuristic point either: the node kept
           only its sequential candidate *)
   mutable heuristic_solves : int;
-      (** subproblems answered by the portfolio's list-scheduler/GA
+      (** heuristic points computed by the list-scheduler/GA
           engine (no branch & bound); disjoint from [ilps] *)
   mutable heur_time_s : float;
       (** wall time spent inside the heuristic engine *)
   mutable wins_heuristic : int;
-      (** portfolio races where the heuristic incumbent survived *)
+      (** races where the heuristic point survived *)
   mutable wins_exact : int;
-      (** portfolio races where branch & bound improved on the incumbent *)
+      (** races where branch & bound improved on the heuristic point *)
   mutable quality_gap_max : float;
       (** worst observed relative gap (heur - exact) / exact across
-          exact-won portfolio races; merged with [max] *)
+          exact-won races; merged with [max] *)
 }
 
 val create : unit -> t
@@ -65,15 +69,14 @@ val record_cache_hit : t -> unit
 (** Record one subproblem answered by the heuristic engine. *)
 val record_heuristic : t -> time_s:float -> unit
 
-(** Record one portfolio race outcome: the winning engine and, when the
+(** Record one race outcome (branch & bound vs the heuristic point): the winning engine and, when the
     exact engine won, the relative gap the heuristic left on the table
     (pass [0.] otherwise). *)
 val record_race :
   t -> winner:[ `Heuristic | `Exact ] -> quality_gap:float -> unit
 
 (** Record one solve landing on a degradation-ladder rung. *)
-val record_degraded :
-  t -> [ `Incumbent | `Lp_round | `Greedy | `Seq_fallback ] -> unit
+val record_degraded : t -> [ `Incumbent | `Heuristic | `Sequential ] -> unit
 
 (** [true] iff any solve fell below the best-incumbent rung, i.e. the
     candidate sets may be missing solutions the full search would have

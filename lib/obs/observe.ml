@@ -71,8 +71,7 @@ let solver_json (st : Ilp.Stats.t) : J.t =
         J.Obj
           [
             ("incumbent", num st.Ilp.Stats.deg_incumbent);
-            ("lp_round", num st.Ilp.Stats.deg_lp_round);
-            ("greedy", num st.Ilp.Stats.deg_greedy);
+            ("heuristic", num st.Ilp.Stats.deg_greedy);
             ("seq_fallback", num st.Ilp.Stats.deg_seq);
           ] );
     ]
@@ -219,10 +218,9 @@ let profile_table ppf ?runtime ?(dropped = 0) ~wall_s
     st.Ilp.Stats.bb_nodes st.Ilp.Stats.pivots st.Ilp.Stats.cuts
     st.Ilp.Stats.presolve_fixed st.Ilp.Stats.presolve_rows;
   Format.fprintf ppf
-    "  cache hits %d  degraded: %d incumbent / %d lp-round / %d \
-     greedy / %d seq@,"
-    st.Ilp.Stats.cache_hits st.Ilp.Stats.deg_incumbent
-    st.Ilp.Stats.deg_lp_round st.Ilp.Stats.deg_greedy st.Ilp.Stats.deg_seq;
+    "  cache hits %d  degraded: %d incumbent / %d heuristic / %d seq@,"
+    st.Ilp.Stats.cache_hits st.Ilp.Stats.deg_incumbent st.Ilp.Stats.deg_greedy
+    st.Ilp.Stats.deg_seq;
   if st.Ilp.Stats.heuristic_solves > 0 then
     Format.fprintf ppf
       "  heuristic solves %d (%.3f s)  race wins: %d heuristic / %d exact  \

@@ -259,10 +259,7 @@ let run_job cfg engine stats ?pool (job : job) : P.response =
         Mutex.unlock stats.smu;
         let ok_status, message =
           match Parcore.Algorithm.degradation algo with
-          | Some d ->
-              ( P.Degraded,
-                d ^ " — solver budget ran out; the solution is valid but \
-                     possibly sub-optimal" )
+          | Some d -> (P.Degraded, Parcore.Algorithm.degradation_message d)
           | None -> (P.Ok_, "")
         in
         match req.P.op with

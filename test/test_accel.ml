@@ -1,12 +1,12 @@
-(* Equivalence tests for the ILP acceleration layer (PR 7): presolve,
-   cover cuts, symmetry rows and incumbent seeding are all pure search
-   accelerations — they must never change WHAT is found, only how fast.
+(* Equivalence tests for the ILP acceleration layer: presolve, cover
+   cuts and symmetry rows are all pure search accelerations — they must
+   never change WHAT is found, only how fast.
 
    The ILP-level properties cross-check against the brute-force
    [Exhaustive] reference on the same random model family the core
-   branch & bound suite uses; the formulation-level toggles (symmetry,
-   seeding) are checked end-to-end: the extracted speedup of a small
-   program must be identical under every toggle combination. *)
+   branch & bound suite uses; the formulation-level toggles are checked
+   end-to-end: the extracted speedup of a small program must be
+   identical under every toggle combination. *)
 
 open Ilp
 
@@ -15,7 +15,7 @@ let feq ?(eps = 1e-4) a b = Float.abs (a -. b) <= eps *. (1. +. Float.abs b)
 (* options exercising the in-solver accelerations (the sweep driver
    enables these when the corresponding Config toggles are on) *)
 let cut_options =
-  { Branch_bound.default_options with Branch_bound.cut_rounds = 4; cut_every = 4 }
+  { Branch_bound.default_options with Branch_bound.cut_rounds = 4 }
 
 let accel_options = { cut_options with Branch_bound.presolve = true }
 
@@ -97,13 +97,12 @@ int main() {
 }
 |}
 
-let toggle_cfg ~presolve ~symmetry ~cuts ~seed =
+let toggle_cfg ~presolve ~symmetry ~cuts =
   {
     Parcore.Config.fast with
     Parcore.Config.ilp_presolve = presolve;
     ilp_symmetry = symmetry;
     ilp_cuts = cuts;
-    ilp_seed_incumbent = seed;
   }
 
 let speedup_with cfg =
@@ -114,7 +113,7 @@ let speedup_with cfg =
   Parcore.Parallelize.speedup out
 
 let test_toggles_preserve_speedup () =
-  let base = speedup_with (toggle_cfg ~presolve:false ~symmetry:false ~cuts:false ~seed:false) in
+  let base = speedup_with (toggle_cfg ~presolve:false ~symmetry:false ~cuts:false) in
   List.iter
     (fun (name, cfg) ->
       let s = speedup_with cfg in
@@ -123,11 +122,10 @@ let test_toggles_preserve_speedup () =
         true
         (Float.abs (s -. base) <= 1e-9 *. (1. +. Float.abs base)))
     [
-      ("all-on", toggle_cfg ~presolve:true ~symmetry:true ~cuts:true ~seed:true);
-      ("presolve", toggle_cfg ~presolve:true ~symmetry:false ~cuts:false ~seed:false);
-      ("symmetry", toggle_cfg ~presolve:false ~symmetry:true ~cuts:false ~seed:false);
-      ("cuts", toggle_cfg ~presolve:false ~symmetry:false ~cuts:true ~seed:false);
-      ("seed", toggle_cfg ~presolve:false ~symmetry:false ~cuts:false ~seed:true);
+      ("all-on", toggle_cfg ~presolve:true ~symmetry:true ~cuts:true);
+      ("presolve", toggle_cfg ~presolve:true ~symmetry:false ~cuts:false);
+      ("symmetry", toggle_cfg ~presolve:false ~symmetry:true ~cuts:false);
+      ("cuts", toggle_cfg ~presolve:false ~symmetry:false ~cuts:true);
     ]
 
 let suite =

@@ -63,7 +63,6 @@ let toggle_cfgs =
         Parcore.Config.ilp_presolve = false;
         ilp_symmetry = false;
         ilp_cuts = false;
-        ilp_seed_incumbent = false;
       } );
     ( "accel-mixed",
       {
@@ -71,7 +70,6 @@ let toggle_cfgs =
         Parcore.Config.ilp_presolve = true;
         ilp_symmetry = false;
         ilp_cuts = true;
-        ilp_seed_incumbent = false;
       } );
   ]
 

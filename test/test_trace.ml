@@ -77,9 +77,11 @@ let test_solver_events_present () =
       c.Trace.events
   in
   let stats = out.Parcore.Parallelize.algo.Parcore.Algorithm.stats in
-  (* every solve (exact or cache-answered) leaves one X event *)
+  (* every solve (exact, heuristic or cache-answered) leaves one X
+     event; every engine takes a heuristic point per subproblem *)
   Alcotest.(check int) "one X event per solve"
-    (stats.Ilp.Stats.ilps + stats.Ilp.Stats.cache_hits)
+    (stats.Ilp.Stats.ilps + stats.Ilp.Stats.heuristic_solves
+   + stats.Ilp.Stats.cache_hits)
     (List.length ilp_x)
 
 (* ---- Chrome export ------------------------------------------------- *)
